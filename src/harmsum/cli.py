@@ -1,7 +1,7 @@
 """Command-line front end: experiment records, CSV/JSON emission, exit codes.
 
 Exit codes: 0 on success, 1 on an infeasible outcome or a failed
-verification, 2 on usage errors.
+verification, 2 on usage errors and exceeded resource or sieve limits.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from . import multiplicative as mult
 from .numerics import (
     BigFixed,
     Comparison,
+    ResourceBudgetError,
     compare_to_threshold,
     exact_rational_sum,
     fraction_str,
 )
-from .sieve import SieveTable, dickman_rho_grid
+from .sieve import SieveRangeError, SieveTable, dickman_rho_grid
 from .support import SignSequence, SupportSet
 
 EXIT_OK = 0
@@ -52,7 +53,12 @@ def _parse_args(argv):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="must be >= 1; recorded in the report config (the search is single-threaded)",
+    )
     common.add_argument("--precision-bits", type=int, default=128)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -116,6 +122,8 @@ def _parse_args(argv):
             attr = key.replace("-", "_")
             if hasattr(args, attr) and f"--{key}" not in given:
                 setattr(args, attr, val)
+    if not isinstance(args.threads, int) or args.threads < 1:
+        top.error(f"--threads must be an integer >= 1, got {args.threads!r}")
     return args
 
 
@@ -235,7 +243,7 @@ def _cmd_construct(args) -> int:
         report = {
             "method": "Greedy",
             "signs": seq.to_obj(),
-            "achieved_exact": str(abs(total)),
+            "achieved_exact": fraction_str(abs(total)),
         }
     elif args.method == "flip":
         flip = ctor.flip_to_target(sup, args.alpha)
@@ -249,7 +257,6 @@ def _cmd_construct(args) -> int:
             max_free=args.max_free,
             seed=args.seed,
             target_eta=args.eta,
-            threads=args.threads,
         )
         report = rep.to_obj()
     elif args.method == "random":
@@ -269,7 +276,6 @@ def _cmd_construct(args) -> int:
                 table,
                 target_eta=args.eta,
                 max_free=args.max_free,
-                threads=args.threads,
             )
         except (ctor.InfeasibleError, ctor.DensityRequirementError) as exc:
             _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
@@ -376,17 +382,21 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage)."""
+    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage or limit)."""
     try:
         args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, ResourceBudgetError, SieveRangeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -262,16 +262,22 @@ def _spread_indices(n_items: int, count: int) -> np.ndarray:
     return idx
 
 
-def _enumerate_half_int64(units: np.ndarray) -> np.ndarray:
-    """All 2^m signed sums of `units`; index bit j set means sign -1 on unit j."""
-    out = np.zeros(1 << len(units), dtype=np.int64)
-    size = 1
-    for u in units:
-        u = int(u)
-        out[size : 2 * size] = out[:size] - u
-        out[:size] += u
-        size *= 2
-    return out
+def _sorted_half_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^m signed sums of `units` in ascending order, with their indices.
+
+    Index bit j set means sign -1 on unit j. Each unit doubles the sorted run
+    by merging the two sorted runs v - u and v + u; the smallest units go
+    first, so the last merges, which move the most data, interleave least.
+    """
+    vals = np.zeros(1, dtype=np.int64)
+    idx = np.zeros(1, dtype=np.int32)
+    for j in np.argsort(units, kind="stable").tolist():
+        u = int(units[j])
+        merged = np.concatenate((vals - u, vals + u))
+        perm = np.argsort(merged, kind="stable")  # a single run merge
+        vals = merged[perm]
+        idx = np.concatenate((idx | (1 << j), idx))[perm]
+    return vals, idx
 
 
 def _half_sums_exact(weights: list[int]) -> list[int]:
@@ -317,26 +323,21 @@ def _mitm_exact(free_ns: list[int], tau: Fraction):
     return signs, {"mode": "exact", "half_sizes": [len(left), len(rvals)]}
 
 
-def _scan_chunk(left, rs, order, tau_fp, c0, chunk):
-    seg = left[c0 : c0 + chunk]
-    pos = np.searchsorted(rs, tau_fp - seg)
-    best = None
-    for off in (-1, 0):
-        jj = np.clip(pos + off, 0, len(rs) - 1)
-        d = np.abs(seg + rs[jj] - tau_fp)
-        i = int(np.argmin(d))
-        cand = (int(d[i]), c0 + i, int(order[jj[i]]))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _signed_sum(weights: list[int], index: int) -> int:
+    return sum(-w if (index >> j) & 1 else w for j, w in enumerate(weights))
 
 
-def _mitm_fixed_point(free_ns: list[int], tau: Fraction, threads: int = 1):
+def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
-    Rounding costs at most half an ulp per reciprocal, so any pair whose true
-    distance beats the fixed-point winner sits within 2*(m+2) ulps of it;
-    every such pair is collected and compared exactly.
+    Sorted-halves sweep (Horowitz and Sahni, 1974): each half's 2^m signed
+    sums are enumerated already sorted, the left half reversed gives
+    ascending queries tau - L, and one sorted-query search over the right
+    half finds every query's nearest neighbours. Rounding costs at most half
+    an ulp per reciprocal, so any pair whose true distance beats the
+    fixed-point winner sits within 2*(m+2) ulps of it; every such pair is
+    collected and compared exactly, and the lexicographic minimum of
+    (exact distance, left index, right index) wins.
     """
     bound = float(sum(Fraction(1, n) for n in free_ns)) + abs(float(tau)) + 1.0
     p_bits = 61 - max(0, math.ceil(math.log2(bound)))
@@ -344,72 +345,45 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction, threads: int = 1):
         raise ResourceBudgetError("free set too heavy for int64 fixed point")
     units = np.asarray([_round_nearest(1 << p_bits, n)[0] for n in free_ns], dtype=np.int64)
     tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
-    left_ns, right_ns = free_ns[0::2], free_ns[1::2]
-    left = _enumerate_half_int64(units[0::2])
-    right = _enumerate_half_int64(units[1::2])
-    order = np.argsort(right, kind="stable")
-    rs = right[order]
-    del right
-    chunk = 1 << 20
-    starts = range(0, len(left), chunk)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = list(
-                pool.map(lambda c0: _scan_chunk(left, rs, order, tau_fp, c0, chunk), starts)
-            )
-    else:
-        candidates = [_scan_chunk(left, rs, order, tau_fp, c0, chunk) for c0 in starts]
-    best = min(candidates)
-    margin = len(free_ns) + 2
-    thr = best[0] + 2 * margin
-    flagged: list[int] = []
-    for c0 in range(0, len(left), chunk):
-        seg = left[c0 : c0 + chunk]
-        pos = np.searchsorted(rs, tau_fp - seg)
-        hit = np.zeros(len(seg), dtype=bool)
-        for off in (-1, 0):
-            jj = np.clip(pos + off, 0, len(rs) - 1)
-            hit |= np.abs(seg + rs[jj] - tau_fp) <= thr
-        flagged.extend((c0 + np.nonzero(hit)[0]).tolist())
+    left, left_idx = _sorted_half_sums(units[0::2])
+    right, right_idx = _sorted_half_sums(units[1::2])
+    need = tau_fp - left[::-1]
+    left_idx = left_idx[::-1]
+    del left
+    pos = np.searchsorted(right, need)
+    dist = np.abs(right[np.minimum(pos, len(right) - 1)] - need)
+    pos -= 1
+    np.maximum(pos, 0, out=pos)
+    np.minimum(dist, np.abs(need - right[pos]), out=dist)
+    del pos
+    fp_best = int(dist.min())
+    thr = fp_best + 2 * (len(free_ns) + 2)
+    rows = np.flatnonzero(dist <= thr)
+    need = need[rows]
+    lo = np.searchsorted(right, need - thr, side="left")
+    hi = np.searchsorted(right, need + thr, side="right")
+    counts = hi - lo
+    n_pairs = int(counts.sum())
+    if n_pairs > SHORTLIST_CAP:
+        raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
+    # pair p of row k lies at right position lo[k] + (p - first pair of row k)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    pair_l = np.repeat(left_idx[rows], counts).tolist()
+    pair_r = right_idx[np.arange(n_pairs) + shift].tolist()
     den, _ = _scaled_weights(free_ns, tau.denominator)
     t_scaled = tau.numerator * (den // tau.denominator)
-    wl = [den // n for n in left_ns]
-    wr = [den // n for n in right_ns]
-    rs_list = rs.tolist()
-    order_list = order.tolist()
-    best_exact = None
-    n_pairs = 0
-    for li in flagged:
-        need_i = tau_fp - int(left[li])
-        lv_exact = sum(w if s > 0 else -w for w, s in zip(wl, _signs_from_index(li, len(wl))))
-        pos = bisect.bisect_left(rs_list, need_i)
-        lo_j = pos
-        while lo_j > 0 and need_i - rs_list[lo_j - 1] <= thr:
-            lo_j -= 1
-        hi_j = pos
-        while hi_j < len(rs_list) and rs_list[hi_j] - need_i <= thr:
-            hi_j += 1
-        n_pairs += hi_j - lo_j
-        if n_pairs > SHORTLIST_CAP:
-            raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
-        for jj in range(lo_j, hi_j):
-            ri = order_list[jj]
-            rv_exact = sum(
-                w if s > 0 else -w for w, s in zip(wr, _signs_from_index(ri, len(wr)))
-            )
-            key = (abs(lv_exact + rv_exact - t_scaled), li, ri)
-            if best_exact is None or key < best_exact:
-                best_exact = key
-    assert best_exact is not None
-    _, li, ri = best_exact
+    wl = [den // n for n in free_ns[0::2]]
+    wr = [den // n for n in free_ns[1::2]]
+    _, li, ri = min(
+        (abs(_signed_sum(wl, i) + _signed_sum(wr, j) - t_scaled), i, j)
+        for i, j in zip(pair_l, pair_r)
+    )
     signs = _zip_halves(free_ns, _signs_from_index(li, len(wl)), _signs_from_index(ri, len(wr)))
     info = {
         "mode": "fixed_point",
         "scale_bits": p_bits,
         "shortlist_pairs": n_pairs,
-        "fp_best_ulps": best[0],
+        "fp_best_ulps": fp_best,
     }
     return signs, info
 
@@ -420,7 +394,6 @@ def mitm_optimize(
     max_free: int = 48,
     seed: int | None = None,
     target_eta: Fraction | None = None,
-    threads: int = 1,
 ) -> ConstructionReport:
     """Minimize |sum a_n/n - x0| by meet-in-the-middle over free elements.
 
@@ -451,7 +424,7 @@ def mitm_optimize(
     if len(free_ns) <= EXACT_MITM_LIMIT:
         free_signs, info = _mitm_exact(free_ns, tau)
     else:
-        free_signs, info = _mitm_fixed_point(free_ns, tau, threads=threads)
+        free_signs, info = _mitm_fixed_point(free_ns, tau)
     free_seq = SignSequence.from_pairs(free_signs.items())
     seq = fixed_seq.merge(free_seq) if fixed_seq is not None else free_seq
     achieved_exact = abs(exact_rational_sum(seq) - x0)
@@ -631,7 +604,6 @@ def dense_set_signs(
     max_free: int = 48,
     n_min: int = 256,
     escalate: bool = True,
-    threads: int = 1,
 ) -> ConstructionReport:
     """Full small-sum pipeline on a dense set restricted to [1, N].
 
@@ -674,9 +646,7 @@ def dense_set_signs(
     free = min(max_free, MAX_FREE_LIMIT)
     while True:
         attempts.append(free)
-        rep = mitm_optimize(
-            main_sup, x0, max_free=free, seed=seed, target_eta=target_eta, threads=threads
-        )
+        rep = mitm_optimize(main_sup, x0, max_free=free, seed=seed, target_eta=target_eta)
         if rep.target_met or not escalate or free >= MAX_FREE_LIMIT:
             break
         free = min(free + 2, MAX_FREE_LIMIT)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from harmsum import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _strip_wall_time(obj):
@@ -17,6 +22,52 @@ def _strip_wall_time(obj):
 def test_usage_error_exit_code():
     assert cli.run(["construct", "--no-such-flag"]) == cli.EXIT_USAGE
     assert cli.run(["bogus"]) == cli.EXIT_USAGE
+
+
+def test_limit_errors_exit_usage_without_traceback():
+    # run as `python -m harmsum.cli`, the way a shell user meets the error
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    for argv in (
+        ["construct", "--interval", "1..200", "--method", "mitm", "--max-free", "60"],
+        ["sieve", "--limit", "100", "--psi", "1000:3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmsum.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_threads_flag_is_only_recorded(tmp_path):
+    args = ["construct", "--interval", "100..900", "--method", "mitm", "--max-free", "30",
+            "--x0", "1/777"]
+    payloads = []
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}.json"
+        assert cli.run(args + ["--threads", str(threads), "--out", str(out)]) == cli.EXIT_OK
+        payload = _strip_wall_time(json.loads(out.read_text()))
+        assert payload["config"].pop("threads") == threads
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert cli.run(args + ["--threads", "0"]) == cli.EXIT_USAGE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": "3"}))
+    assert cli.run(["--config", str(cfg)] + args) == cli.EXIT_USAGE
+
+
+def test_greedy_report_past_int_digit_limit(tmp_path):
+    # the exact sum over 1..12000 has a denominator of more than 4300 digits
+    out = tmp_path / "greedy.json"
+    code = cli.run(
+        ["construct", "--interval", "1..12000", "--method", "greedy", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    assert 0 <= float(json.loads(out.read_text())["report"]["achieved_exact"]) <= 1
 
 
 def test_oracle_small(tmp_path, capsys):

@@ -144,15 +144,6 @@ def test_mitm_respects_max_free_cap():
         ctor.mitm_optimize(SupportSet.interval(1, 100), Fraction(0), max_free=53)
 
 
-def test_mitm_threaded_scan_identical():
-    rng = np.random.default_rng(26)
-    ns = np.sort(rng.choice(np.arange(100, 900), size=30, replace=False))
-    a = SupportSet(ns)
-    r1 = ctor.mitm_optimize(a, Fraction(1, 777), max_free=30, threads=1)
-    r2 = ctor.mitm_optimize(a, Fraction(1, 777), max_free=30, threads=3)
-    assert r1.signs == r2.signs and r1.achieved_exact == r2.achieved_exact
-
-
 def test_randomized_search():
     a = SupportSet([2, 3])
     rep = ctor.randomized_search(a, Fraction(1, 6), Fraction(1, 10**9), seed=3)
