@@ -22,12 +22,11 @@ from . import constructor as ctor
 from . import density as dens
 from . import multiplicative as mult
 from .numerics import (
-    BigFixed,
     Comparison,
     ResourceBudgetError,
-    compare_to_threshold,
+    _jsonable,
     exact_rational_sum,
-    fraction_str,
+    verify_abs_below,
 )
 from .sieve import SieveRangeError, SieveTable, dickman_rho_grid
 from .support import SignSequence, SupportSet
@@ -35,6 +34,13 @@ from .support import SignSequence, SupportSet
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+# verify doubles its precision up to this bound; a 2^13-bit mantissa stays
+# within Python's 4300-digit limit on int-to-str conversion.
+MAX_PRECISION_BITS = 1 << 13
+
+
+class _UsageError(Exception):
+    pass
 
 
 def _fraction(text: str) -> Fraction:
@@ -59,7 +65,13 @@ def _parse_args(argv):
         default=1,
         help="must be >= 1; recorded in the report config (the search is single-threaded)",
     )
-    common.add_argument("--precision-bits", type=int, default=128)
+    common.add_argument(
+        "--precision-bits",
+        type=int,
+        default=128,
+        help=f"starting precision of verify, 1..{MAX_PRECISION_BITS} bits; "
+        f"doubled up to {MAX_PRECISION_BITS}",
+    )
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", parents=[common], help="dump smooth-count tables and rho grids")
@@ -118,31 +130,30 @@ def _parse_args(argv):
     if args.config:
         defaults = json.loads(Path(args.config).read_text())
         given = {tok.split("=")[0] for tok in (argv or []) if tok.startswith("--")}
+        actions = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in defaults.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and f"--{key}" not in given:
-                setattr(args, attr, val)
-    if not isinstance(args.threads, int) or args.threads < 1:
-        top.error(f"--threads must be an integer >= 1, got {args.threads!r}")
+            if attr in actions and hasattr(args, attr) and f"--{key}" not in given:
+                setattr(args, attr, _config_value(actions[attr], key, val))
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+    if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
+        raise _UsageError(
+            f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}], got {args.precision_bits}"
+        )
     return args
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return fraction_str(obj)
-    if isinstance(obj, BigFixed):
-        return obj.to_obj()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_obj"):
-        return _jsonable(obj.to_obj())
-    return obj
+def _config_value(action: argparse.Action, key: str, val):
+    """A --config value converted as if it had been given on the command line."""
+    if action.type is not None and val is not None:
+        try:
+            val = action.type(str(val))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise _UsageError(f"--config {key}: {exc}") from exc
+    if action.choices is not None and val not in action.choices:
+        raise _UsageError(f"--config {key}: {val!r} is not one of {sorted(action.choices)}")
+    return val
 
 
 def _emit(text: str, out: str | None):
@@ -223,10 +234,6 @@ def _cmd_density(args) -> int:
     return EXIT_OK if cert.ok else EXIT_INFEASIBLE
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _support_from_args(args) -> SupportSet:
     spec = args.set or args.interval
     if spec is None:
@@ -242,8 +249,8 @@ def _cmd_construct(args) -> int:
         seq, total = ctor.greedy_bounded(sup)
         report = {
             "method": "Greedy",
-            "signs": seq.to_obj(),
-            "achieved_exact": fraction_str(abs(total)),
+            "signs": seq,
+            "achieved_exact": abs(total),
         }
     elif args.method == "flip":
         flip = ctor.flip_to_target(sup, args.alpha)
@@ -329,20 +336,16 @@ def _cmd_verify(args) -> int:
     if target is None:
         print("no target eta stored or provided", file=sys.stderr)
         return EXIT_USAGE
-    value = exact_rational_sum(seq)
-    bits = args.precision_bits
-    outcome = Comparison.INDETERMINATE
-    while bits <= 1 << 14:
-        v = BigFixed.from_fraction(abs(value), bits)
-        e = BigFixed.from_fraction(target, bits)
-        outcome = compare_to_threshold(v, e)
-        if outcome is not Comparison.INDETERMINATE:
-            break
-        bits *= 2
+    outcome, v, bits = verify_abs_below(
+        abs(exact_rational_sum(seq)),
+        target,
+        start_bits=args.precision_bits,
+        max_bits=MAX_PRECISION_BITS,
+    )
     result = {
         "outcome": outcome.value,
-        "value": v.to_obj(),
-        "target_eta": fraction_str(target),
+        "value": v,
+        "target_eta": target,
         "precision_bits": bits,
     }
     _emit(_record(args, result, started), args.out)
@@ -361,8 +364,8 @@ def _cmd_oracle(args) -> int:
     # search degenerates to an exact exhaustive optimum.
     rep = ctor.mitm_optimize(sup, x0, max_free=max(len(sup), 1))
     result = {
-        "minimum": fraction_str(rep.achieved_exact),
-        "signs": rep.signs.to_obj(),
+        "minimum": rep.achieved_exact,
+        "signs": rep.signs,
         "x0": str(x0),
         "enumerated": 1 << len(sup),
     }
@@ -385,10 +388,9 @@ def run(argv) -> int:
     """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage or limit)."""
     try:
         args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
     except (_UsageError, ValueError, ResourceBudgetError, SieveRangeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

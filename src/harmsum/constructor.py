@@ -16,10 +16,13 @@ from . import density as density_mod
 from .numerics import (
     BigFixed,
     ResourceBudgetError,
+    _jsonable,
     _round_nearest,
     default_precision,
     exact_rational_sum,
-    fraction_str,
+    lcm_weights,
+    rounded_units,
+    signed_subset_sums,
 )
 from .sieve import SieveTable
 from .support import SignSequence, SupportSet
@@ -47,30 +50,7 @@ class FlipResult:
     deficit: Fraction | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "signs": self.signs.to_obj() if self.signs else None,
-            "error": fraction_str(self.error),
-            "deficit": fraction_str(self.deficit),
-        }
-
-
-def _clean_detail(v):
-    if isinstance(v, Fraction):
-        return fraction_str(v)
-    if isinstance(v, BigFixed):
-        return v.to_obj()
-    if isinstance(v, FlipResult):
-        return v.to_obj()
-    if isinstance(v, ConstructionReport):
-        return v.to_obj()
-    if isinstance(v, dict):
-        return {k: _clean_detail(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_clean_detail(x) for x in v]
-    if isinstance(v, (np.integer, np.floating)):
-        return v.item()
-    return v
+        return _jsonable(vars(self))
 
 
 @dataclass
@@ -91,35 +71,40 @@ class ConstructionReport:
     wall_time: float
     details: dict = field(default_factory=dict)
 
+    @classmethod
+    def _from_signs(
+        cls,
+        signs: SignSequence,
+        x0: Fraction,
+        target_eta: Fraction | None,
+        method: str,
+        rng_seed: int | None,
+        t_start: float,
+        details: dict,
+    ) -> "ConstructionReport":
+        """The report of `signs`: |sum - x0|, its BigFixed rendering and
+        whether it meets target_eta are all derived here from the signs."""
+        achieved = abs(exact_rational_sum(signs) - x0)
+        ref = target_eta if target_eta is not None and target_eta > 0 else Fraction(1, 10**15)
+        if 0 < achieved < ref:
+            ref = achieved
+        return cls(
+            signs=signs,
+            achieved=BigFixed.from_fraction(achieved, default_precision(len(signs), ref)),
+            achieved_exact=achieved,
+            target_eta=target_eta,
+            target_met=None if target_eta is None else achieved <= target_eta,
+            method=method,
+            rng_seed=rng_seed,
+            wall_time=time.perf_counter() - t_start,
+            details=details,
+        )
+
     def to_obj(self) -> dict:
-        return {
-            "signs": self.signs.to_obj(),
-            "achieved": self.achieved.to_obj(),
-            "achieved_exact": fraction_str(self.achieved_exact),
-            "target_eta": fraction_str(self.target_eta),
-            "target_met": self.target_met,
-            "method": self.method,
-            "rng_seed": self.rng_seed,
-            "wall_time": self.wall_time,
-            "details": _clean_detail(self.details),
-        }
+        return _jsonable(vars(self))
 
 
-def _bits_for(count: int, target: Fraction | None, achieved: Fraction) -> int:
-    ref = target if target is not None and target > 0 else Fraction(1, 10**15)
-    if 0 < achieved < ref:
-        ref = achieved
-    return default_precision(count, ref)
-
-
-def _scaled_weights(ns: list[int], extra_den: int = 1) -> tuple[int, list[int]]:
-    den = extra_den
-    for n in ns:
-        den = math.lcm(den, n)
-    return den, [den // n for n in ns]
-
-
-def _greedy_signs(weights: list[int], start_err: int, trace: list[int] | None = None):
+def _greedy_signs(weights, start_err: int, trace: list[int] | None = None):
     """Greedy signs minimizing |err| step by step; ties resolve to +1."""
     e = start_err
     signs: list[int] = []
@@ -140,8 +125,7 @@ def greedy_bounded(a: SupportSet, with_trace: bool = False):
     """
     if not len(a):
         raise ValueError("support must be nonempty")
-    ns = [int(n) for n in a.values]
-    den, weights = _scaled_weights(ns)
+    den, _, weights = lcm_weights(a.values.tolist())
     trace_scaled: list[int] | None = [] if with_trace else None
     signs, e = _greedy_signs(weights, 0, trace_scaled)
     seq = SignSequence(a, np.asarray(signs, dtype=np.int8))
@@ -158,10 +142,7 @@ def greedy_toward(a: SupportSet, target) -> tuple[SignSequence, Fraction]:
     """
     if not len(a):
         return SignSequence(a, np.empty(0, dtype=np.int8)), Fraction(0)
-    target = Fraction(target)
-    ns = [int(n) for n in a.values]
-    den, weights = _scaled_weights(ns, target.denominator)
-    t_scaled = target.numerator * (den // target.denominator)
+    den, t_scaled, weights = lcm_weights(a.values.tolist(), target)
     signs, e = _greedy_signs(weights, -t_scaled)
     seq = SignSequence(a, np.asarray(signs, dtype=np.int8))
     return seq, Fraction(e + t_scaled, den)
@@ -178,13 +159,13 @@ def flip_to_target(s: SupportSet, alpha) -> FlipResult:
     alpha = Fraction(alpha)
     if not len(s):
         return FlipResult(feasible=False, signs=None, error=None, deficit=abs(alpha))
-    total = s.reciprocal_sum()
-    if total <= abs(alpha):
-        return FlipResult(feasible=False, signs=None, error=None, deficit=abs(alpha) - total)
-    a = abs(alpha)
-    ns = [int(n) for n in s.values]
-    den, weights = _scaled_weights(ns, a.denominator)
-    a_scaled = a.numerator * (den // a.denominator)
+    den, a_scaled, weights = lcm_weights(s.values.tolist(), abs(alpha))
+    weights = list(weights)
+    total = sum(weights)
+    if total <= a_scaled:
+        return FlipResult(
+            feasible=False, signs=None, error=None, deficit=Fraction(a_scaled - total, den)
+        )
     cum = 0
     j0 = None
     for i, w in enumerate(weights):
@@ -231,21 +212,17 @@ def small_prefix_construction(n_scale: int) -> ConstructionReport:
     flip = flip_to_target(rest, -alpha)
     if not flip.feasible:
         raise InfeasibleError(f"flip deficit {flip.deficit} at scale {n_scale}")
-    seq = prefix.merge(flip.signs)
-    achieved = abs(exact_rational_sum(seq))
-    bound = Fraction(2, n_scale)
-    assert achieved <= bound, f"prefix construction violated 2/N at N={n_scale}"
-    return ConstructionReport(
-        signs=seq,
-        achieved=BigFixed.from_fraction(achieved, _bits_for(len(seq), bound, achieved)),
-        achieved_exact=achieved,
-        target_eta=bound,
-        target_met=True,
-        method="Flip",
-        rng_seed=None,
-        wall_time=time.perf_counter() - t0,
-        details={"alternating_sum": alpha, "flip_error": flip.error},
+    rep = ConstructionReport._from_signs(
+        prefix.merge(flip.signs),
+        Fraction(0),
+        Fraction(2, n_scale),
+        "Flip",
+        None,
+        t0,
+        {"alternating_sum": alpha, "flip_error": flip.error},
     )
+    assert rep.target_met, f"prefix construction violated 2/N at N={n_scale}"
+    return rep
 
 
 def _spread_indices(n_items: int, count: int) -> np.ndarray:
@@ -280,13 +257,6 @@ def _sorted_half_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, idx
 
 
-def _half_sums_exact(weights: list[int]) -> list[int]:
-    out = [0]
-    for w in weights:
-        out = [s + w for s in out] + [s - w for s in out]
-    return out
-
-
 def _signs_from_index(index: int, count: int) -> list[int]:
     return [-1 if (index >> j) & 1 else 1 for j in range(count)]
 
@@ -300,11 +270,11 @@ def _zip_halves(free_ns, signs_l, signs_r) -> dict[int, int]:
 
 def _mitm_exact(free_ns: list[int], tau: Fraction):
     """Exact meet-in-the-middle: globally optimal signs for the free elements."""
-    den, _ = _scaled_weights(free_ns, tau.denominator)
-    t_scaled = tau.numerator * (den // tau.denominator)
+    _, t_scaled, weights = lcm_weights(free_ns, tau)
+    weights = list(weights)
     left_ns, right_ns = free_ns[0::2], free_ns[1::2]
-    left = _half_sums_exact([den // n for n in left_ns])
-    right = _half_sums_exact([den // n for n in right_ns])
+    left = signed_subset_sums(weights[0::2])
+    right = signed_subset_sums(weights[1::2])
     order = sorted(range(len(right)), key=lambda i: (right[i], i))
     rvals = [right[i] for i in order]
     best = None
@@ -343,7 +313,7 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     p_bits = 61 - max(0, math.ceil(math.log2(bound)))
     if p_bits < 40:
         raise ResourceBudgetError("free set too heavy for int64 fixed point")
-    units = np.asarray([_round_nearest(1 << p_bits, n)[0] for n in free_ns], dtype=np.int64)
+    units = rounded_units(free_ns, p_bits)[0]
     tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
     left, left_idx = _sorted_half_sums(units[0::2])
     right, right_idx = _sorted_half_sums(units[1::2])
@@ -370,10 +340,9 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
     pair_l = np.repeat(left_idx[rows], counts).tolist()
     pair_r = right_idx[np.arange(n_pairs) + shift].tolist()
-    den, _ = _scaled_weights(free_ns, tau.denominator)
-    t_scaled = tau.numerator * (den // tau.denominator)
-    wl = [den // n for n in free_ns[0::2]]
-    wr = [den // n for n in free_ns[1::2]]
+    _, t_scaled, weights = lcm_weights(free_ns, tau)
+    weights = list(weights)
+    wl, wr = weights[0::2], weights[1::2]
     _, li, ri = min(
         (abs(_signed_sum(wl, i) + _signed_sum(wr, j) - t_scaled), i, j)
         for i, j in zip(pair_l, pair_r)
@@ -427,25 +396,13 @@ def mitm_optimize(
         free_signs, info = _mitm_fixed_point(free_ns, tau)
     free_seq = SignSequence.from_pairs(free_signs.items())
     seq = fixed_seq.merge(free_seq) if fixed_seq is not None else free_seq
-    achieved_exact = abs(exact_rational_sum(seq) - x0)
-    return ConstructionReport(
-        signs=seq,
-        achieved=BigFixed.from_fraction(
-            achieved_exact, _bits_for(len(seq), target_eta, achieved_exact)
-        ),
-        achieved_exact=achieved_exact,
-        target_eta=target_eta,
-        target_met=(achieved_exact <= target_eta) if target_eta is not None else None,
-        method="MITM",
-        rng_seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        details={
-            "free_count": len(free_ns),
-            "fixed_count": len(fixed_sup),
-            "fixed_residual": x0 - fixed_sum,
-            **info,
-        },
-    )
+    details = {
+        "free_count": len(free_ns),
+        "fixed_count": len(fixed_sup),
+        "fixed_residual": x0 - fixed_sum,
+        **info,
+    }
+    return ConstructionReport._from_signs(seq, x0, target_eta, "MITM", seed, t_start, details)
 
 
 def randomized_search(
@@ -485,18 +442,9 @@ def randomized_search(
         done += chunk
         if best_d <= etaf:
             break
-    seq = SignSequence(a, best_signs)
-    achieved_exact = abs(exact_rational_sum(seq) - x0)
-    return ConstructionReport(
-        signs=seq,
-        achieved=BigFixed.from_fraction(achieved_exact, _bits_for(len(seq), eta, achieved_exact)),
-        achieved_exact=achieved_exact,
-        target_eta=eta,
-        target_met=achieved_exact <= eta,
-        method="Randomized",
-        rng_seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        details={"samples_drawn": done, "best_found_at": found_at},
+    details = {"samples_drawn": done, "best_found_at": found_at}
+    return ConstructionReport._from_signs(
+        SignSequence(a, best_signs), x0, eta, "Randomized", seed, t_start, details
     )
 
 
@@ -650,31 +598,21 @@ def dense_set_signs(
         if rep.target_met or not escalate or free >= MAX_FREE_LIMIT:
             break
         free = min(free + 2, MAX_FREE_LIMIT)
-    seq = prefix_seq.merge(rep.signs)
-    achieved_exact = abs(exact_rational_sum(seq))
-    assert achieved_exact == rep.achieved_exact, "pipeline bookkeeping mismatch"
-    return ConstructionReport(
-        signs=seq,
-        achieved=BigFixed.from_fraction(
-            achieved_exact, _bits_for(len(seq), target_eta, achieved_exact)
-        ),
-        achieved_exact=achieved_exact,
-        target_eta=target_eta,
-        target_met=achieved_exact <= target_eta,
-        method="Pipeline",
-        rng_seed=seed,
-        wall_time=time.perf_counter() - t_start,
-        details={
-            "prefix_sum": prefix_sum,
-            "prefix_bound": 2.0 / (delta * n_scale),
-            "prefix_size": len(prefix_sup),
-            "rough_basis": basis.to_obj(),
-            "eta_budget": budget.to_obj(),
-            "mitm": rep.to_obj(),
-            "max_free_attempts": attempts,
-            "theta_hat": achieved_exponent(achieved_exact, n_scale),
-        },
+    details = {
+        "prefix_sum": prefix_sum,
+        "prefix_bound": 2.0 / (delta * n_scale),
+        "prefix_size": len(prefix_sup),
+        "rough_basis": basis.to_obj(),
+        "eta_budget": budget.to_obj(),
+        "mitm": rep.to_obj(),
+        "max_free_attempts": attempts,
+        "theta_hat": achieved_exponent(rep.achieved_exact, n_scale),
+    }
+    report = ConstructionReport._from_signs(
+        prefix_seq.merge(rep.signs), Fraction(0), target_eta, "Pipeline", seed, t_start, details
     )
+    assert report.achieved_exact == rep.achieved_exact, "pipeline bookkeeping mismatch"
+    return report
 
 
 @dataclass
@@ -688,13 +626,7 @@ class ScaleChainResult:
     note: str = ""
 
     def to_obj(self) -> dict:
-        return {
-            "scales": self.scales,
-            "reports": [r.to_obj() for r in self.reports],
-            "signs": self.signs.to_obj(),
-            "exhausted": self.exhausted,
-            "note": self.note,
-        }
+        return _jsonable(vars(self))
 
 
 def upper_density_scales(

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .numerics import BigFixed
+from .numerics import BigFixed, _jsonable, lcm_weights, signed_subset_sums
 from .support import SupportSet
 
 # The pointwise bound |cos(2*pi*theta)| <= exp(-2*pi^2*||theta||^2) is only
@@ -127,18 +127,9 @@ class EtaBudget:
     reasons: tuple[str, ...]
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n_scale,
-            "b_size": self.b_size,
-            "k": self.k,
-            "c_local": self.c_local,
-            "log_eta_min": self.log_eta_min,
-            "eta_min": self.eta_min.to_obj(),
-            "t0": self.t0,
-            "t_upper": self.t_upper,
-            "feasible": self.feasible,
-            "reasons": list(self.reasons),
-        }
+        obj = _jsonable(vars(self))
+        obj["n"] = obj.pop("n_scale")
+        return obj
 
 
 def eta_budget(
@@ -381,14 +372,6 @@ def mc_probability(
     return p, stderr
 
 
-def _half_sums_exact(ns: list[int], weights: dict[int, int]) -> list[int]:
-    sums = [0]
-    for n in ns:
-        w = weights[n]
-        sums = [s + w for s in sums] + [s - w for s in sums]
-    return sums
-
-
 def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fraction:
     """Exact P(|X_A - x0| <= eta) by meet-in-the-middle counting.
 
@@ -403,16 +386,12 @@ def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fracti
         raise ValueError("eta must be >= 0")
     if not len(a):
         return Fraction(1) if abs(x0) <= eta else Fraction(0)
-    den = a.lcm()
-    scale = den * x0.denominator * eta.denominator
-    weights = {int(n): scale // int(n) for n in a.values}
-    lo = (x0 - eta) * scale
-    hi = (x0 + eta) * scale
-    assert lo.denominator == 1 and hi.denominator == 1
-    lo_i, hi_i = lo.numerator, hi.numerator
-    ns = [int(n) for n in a.values]
-    left = _half_sums_exact(ns[0::2], weights)
-    right = sorted(_half_sums_exact(ns[1::2], weights))
+    # The sums are integers, so the window [lo, hi] may be cut to floor(hi).
+    den, lo_i, weights = lcm_weights(a.values.tolist(), x0 - eta)
+    hi_i = math.floor((x0 + eta) * den)
+    weights = list(weights)
+    left = signed_subset_sums(weights[0::2])
+    right = sorted(signed_subset_sums(weights[1::2]))
     count = 0
     for s in left:
         i = bisect.bisect_left(right, lo_i - s)

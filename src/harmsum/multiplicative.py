@@ -23,8 +23,12 @@ from .numerics import (
     BigFixed,
     Comparison,
     VerificationLog,
+    _jsonable,
     default_precision,
-    fraction_str,
+    lcm_weights,
+    rounded_units,
+    signed_weight_sum,
+    unit_sum,
     verify_abs_below,
 )
 from .sieve import SieveTable
@@ -146,37 +150,14 @@ class MultiplicativeFn:
         """L(f, n) = sum of f(m)/m for m <= n, with err <= n ulps."""
         if n < 1 or n > self.limit:
             raise ValueError("n outside supported range")
-        vals = self.values_range()
-        if scale_bits <= 40:
-            ms = np.arange(1, n + 1, dtype=np.int64)
-            terms = (np.int64(1) << scale_bits) // ms
-            total = int(np.sum(np.where(vals[1 : n + 1] > 0, terms, -terms), dtype=np.int64))
-            return BigFixed(total, scale_bits, n)
-        total = 0
-        err = 0
-        one = 1 << scale_bits
-        for m in range(1, n + 1):
-            q, r = divmod(one, m)
-            if 2 * r >= m:
-                q += 1
-            if r:
-                err += 1
-            total += q if vals[m] > 0 else -q
-        return BigFixed(total, scale_bits, err)
+        return unit_sum(np.arange(1, n + 1), scale_bits, self.values_range()[1 : n + 1])
 
     def log_mean_exact(self, n: int) -> Fraction:
         """Exact L(f, n); denominator is lcm(1..n), so keep n moderate."""
         if n < 1 or n > self.limit:
             raise ValueError("n outside supported range")
-        vals = self.values_range()
-        den = 1
-        for m in range(2, n + 1):
-            den = math.lcm(den, m)
-        num = 0
-        for m in range(1, n + 1):
-            w = den // m
-            num += w if vals[m] > 0 else -w
-        return Fraction(num, den)
+        den, _, weights = lcm_weights(range(1, n + 1))
+        return Fraction(signed_weight_sum(weights, self.values_range()[1 : n + 1].tolist()), den)
 
     def to_sign_sequence(self, support: SupportSet) -> SignSequence:
         vals = self.values_range()
@@ -199,12 +180,7 @@ class Chi3Report:
     witness: int | None
 
     def to_obj(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "values": [list(v) for v in self.values],
-            "ok": self.ok,
-            "witness": self.witness,
-        }
+        return _jsonable(vars(self))
 
 
 def chi3_star_check(k_max: int, sieve: SieveTable) -> Chi3Report:
@@ -231,35 +207,29 @@ class PrecisionExhausted(Exception):
 def first_negative_crossing(fn: MultiplicativeFn, limit: int, scale_bits: int = 48):
     """Smallest C <= limit with sum_{n<=C} f(n)/n < 0, or None.
 
-    Decided by integer interval arithmetic: terms are floor(2^P / n) so the
-    accumulated error after n terms is below n ulps, and a partial sum is
-    certified negative iff cum + n < 0 in ulps. Inconclusive prefixes raise
-    PrecisionExhausted rather than guessing.
+    Decided by integer interval arithmetic: terms are 2^P / n rounded to
+    nearest, so the accumulated error in ulps is at most the number of
+    inexact terms so far, err, and a partial sum is certified negative iff
+    cum + err < 0. Inconclusive prefixes raise PrecisionExhausted rather
+    than guessing.
     """
     if limit > fn.limit:
         raise ValueError("limit exceeds the function's supported range")
     if scale_bits > 48:
         raise ValueError("scale_bits above 48 risks int64 overflow")
     vals = fn.values_range()[1 : limit + 1]
-    ms = np.arange(1, limit + 1, dtype=np.int64)
-    terms = (np.int64(1) << scale_bits) // ms
-    cum = np.cumsum(np.where(vals > 0, terms, -terms))
-    certain_neg = cum + ms < 0
-    uncertain = np.abs(cum) <= ms
-    if certain_neg.any():
-        first = int(np.argmax(certain_neg)) + 1
-        if uncertain[: first - 1].any():
-            witness = int(np.argmax(uncertain)) + 1
-            raise PrecisionExhausted(
-                f"sign of the partial sum at n={witness} is below the error bound"
-            )
-        return first
-    if uncertain.any():
-        witness = int(np.argmax(uncertain)) + 1
+    units, inexact = rounded_units(np.arange(1, limit + 1), scale_bits)
+    cum = np.cumsum(np.where(vals > 0, units, -units))
+    err = np.cumsum(inexact)
+    certain_neg = cum + err < 0
+    # A certified crossing counts only if every earlier partial sum's sign is decided.
+    stop = int(np.argmax(certain_neg)) if certain_neg.any() else limit
+    undecided = np.flatnonzero(np.abs(cum[:stop]) <= err[:stop])
+    if undecided.size:
         raise PrecisionExhausted(
-            f"sign of the partial sum at n={witness} is below the error bound"
+            f"sign of the partial sum at n={undecided[0] + 1} is below the error bound"
         )
-    return None
+    return stop + 1 if stop < limit else None
 
 
 @dataclass
@@ -286,26 +256,9 @@ class ScaleReport:
     notes: list[str] = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n_scale,
-            "mid_interval": list(self.mid_interval),
-            "top_interval": list(self.top_interval),
-            "mid_primes": self.mid_primes,
-            "top_primes": self.top_primes,
-            "e_value": fraction_str(self.e_value),
-            "identity_ok": self.identity_ok,
-            "flip": self.flip.to_obj(),
-            "mid_report": self.mid_report.to_obj() if self.mid_report else None,
-            "top_report": self.top_report.to_obj() if self.top_report else None,
-            "achieved_exact": fraction_str(self.achieved_exact),
-            "achieved": self.achieved.to_obj(),
-            "eta_target": fraction_str(self.eta_target),
-            "met": self.met,
-            "feasible": self.feasible,
-            "c0_hat": self.c0_hat,
-            "cube_root_bound_ok": self.cube_root_bound_ok,
-            "notes": self.notes,
-        }
+        obj = _jsonable(vars(self))
+        obj["n"] = obj.pop("n_scale")
+        return obj
 
 
 @dataclass
@@ -325,18 +278,9 @@ class PipelineState:
     verification: VerificationLog | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "scales": self.scales,
-            "c_cross": self.c_cross,
-            "delta": fraction_str(self.delta),
-            "modified_intervals": self.modified_intervals,
-            "scale_reports": [r.to_obj() for r in self.scale_reports],
-            "seed_rule": self.seed_rule,
-            "seed_overrides": {str(k): v for k, v in sorted(self.seed_overrides.items())},
-            "rng_seed": self.rng_seed,
-            "feasible": self.feasible,
-            "wall_time": self.wall_time,
-        }
+        obj = _jsonable({k: v for k, v in vars(self).items() if k != "verification"})
+        obj["seed_overrides"] = {str(k): v for k, v in sorted(self.seed_overrides.items())}
+        return obj
 
 
 class PipelineError(Exception):
@@ -416,38 +360,28 @@ def log_mean_pipeline(
         intervals.append([[mid_lo, mid_hi], [top_lo, top_hi]])
         if not len(top_primes):
             raise PipelineError(f"no primes in the top block at scale {n}")
-        den = 1
-        for m in range(2, n + 1):
-            den = math.lcm(den, m)
-        weights = [0] + [den // m for m in range(1, n + 1)]
+        # One weight table per scale: lcm(1..N) and its weights cost more
+        # than the sums that share them.
+        den, _, gen = lcm_weights(range(1, n + 1))
+        weights = [0, *gen]
+        all_ms = np.arange(1, n + 1)
 
-        def l_exact(values: np.ndarray) -> Fraction:
-            num = 0
-            for m in range(1, n + 1):
-                num += weights[m] if values[m] > 0 else -weights[m]
-            return Fraction(num, den)
-
-        def block_sum(values: np.ndarray, block: SupportSet) -> Fraction:
-            num = 0
-            for p in block.values:
-                p = int(p)
-                num += weights[p] if values[p] > 0 else -weights[p]
-            return Fraction(num, den)
+        def exact_sum(values: np.ndarray, ms: np.ndarray) -> Fraction:
+            """Exact sum of f(m)/m over m in ms."""
+            ws = (weights[m] for m in ms.tolist())
+            return Fraction(signed_weight_sum(ws, values[ms].tolist()), den)
 
         vals = fn.values_range()
-        l_total = l_exact(vals)
-        s_top = block_sum(vals, top_primes)
-        s_mid = block_sum(vals, mid_primes)
+        l_total = exact_sum(vals, all_ms)
+        s_top = exact_sum(vals, top_primes.values)
+        s_mid = exact_sum(vals, mid_primes.values)
         e_value = l_total - s_top - l_c * s_mid
         # Independent evaluation: sum over n <= N untouched by block primes.
         mask = np.ones(n + 1, dtype=bool)
         mask[0] = False
         for p in list(mid_primes) + list(top_primes):
             mask[p::p] = False
-        num = 0
-        for m in np.nonzero(mask)[0]:
-            num += weights[m] if vals[m] > 0 else -weights[m]
-        identity_ok = Fraction(num, den) == e_value
+        identity_ok = exact_sum(vals, np.nonzero(mask)[0]) == e_value
         if not identity_ok:
             notes.append("block decomposition identity failed")
         # (b) flip the top block toward -(E + L_C * current mid sum).
@@ -461,7 +395,7 @@ def log_mean_pipeline(
                 "keeping seed signs"
             )
         vals = fn.values_range()
-        s_top = block_sum(vals, top_primes)
+        s_top = exact_sum(vals, top_primes.values)
         # (c) mid block toward x0 = (E + sum_top)/Delta, when it has leverage.
         mid_report = None
         if len(mid_primes) and delta != 0:
@@ -473,26 +407,27 @@ def log_mean_pipeline(
             vals = fn.values_range()
         elif not len(mid_primes):
             notes.append("mid block contains no primes at this scale")
-        s_mid = block_sum(vals, mid_primes) if len(mid_primes) else Fraction(0)
+        s_mid = exact_sum(vals, mid_primes.values)
         # (c') refine a free subset of the top block for the final target.
         top_report = None
         if len(top_primes) > 1:
-            free_idx = _spread_free_top(len(top_primes), max_free)
+            free_idx = _spread_indices(len(top_primes), max_free)
             free_sup = SupportSet(top_primes.values[free_idx])
             fixed_mask = np.ones(len(top_primes), dtype=bool)
             fixed_mask[free_idx] = False
             fixed_sup = SupportSet(top_primes.values[fixed_mask])
-            s_top_fixed = block_sum(vals, fixed_sup)
+            s_top_fixed = exact_sum(vals, fixed_sup.values)
             x0_top = -(e_value + l_c * s_mid + s_top_fixed)
             top_report = mitm_optimize(
                 free_sup, x0_top, max_free=max_free, seed=rng_seed, target_eta=target_eta
             )
             fn = fn.with_overrides(dict(top_report.signs.items()))
             vals = fn.values_range()
-            s_top = block_sum(vals, top_primes)
+            s_top = exact_sum(vals, top_primes.values)
         # (d) exact re-verification at this scale.
-        achieved_exact = abs(l_exact(vals))
-        identity_final = l_exact(vals) == e_value + s_top + l_c * s_mid
+        l_final = exact_sum(vals, all_ms)
+        achieved_exact = abs(l_final)
+        identity_final = l_final == e_value + s_top + l_c * s_mid
         if not identity_final:
             notes.append("post-construction decomposition identity failed")
         outcome, achieved_bf, _ = verify_abs_below(
@@ -549,10 +484,6 @@ def log_mean_pipeline(
         verification=verification,
     )
     return fn, state
-
-
-def _spread_free_top(count: int, max_free: int) -> np.ndarray:
-    return _spread_indices(count, min(max_free, count))
 
 
 def locality_check(

@@ -12,8 +12,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .support import SignSequence
+import numpy as np
+
+if TYPE_CHECKING:
+    from .support import SignSequence
 
 # Denominator-size guard for exact sums; lcm(1..200000) is ~288 kbit, so this
 # leaves generous headroom while still catching runaway requests.
@@ -122,7 +126,7 @@ class BigFixed:
         val = _sci(self.value_fraction(), sig)
         if self.err_ulps == 0:
             return f"{val} (exact)"
-        return f"{val} ± {_sci_ceil(self.err_fraction(), 2)}"
+        return f"{val} ± {_sci(self.err_fraction(), 2, round_up=True)}"
 
     def to_obj(self) -> dict:
         return {
@@ -145,8 +149,12 @@ def _digits10(n: int) -> int:
     return approx
 
 
-def _sci(value: Fraction, sig: int) -> str:
-    """Exact scientific-notation rendering of a rational, `sig` digits."""
+def _sci(value: Fraction, sig: int, round_up: bool = False) -> str:
+    """Exact scientific-notation rendering of a rational, `sig` digits.
+
+    The magnitude is truncated and trailing zeros are dropped; with round_up
+    it is rounded up and all `sig` digits are kept (for error bounds).
+    """
     if value == 0:
         return "0"
     sign = "-" if value < 0 else ""
@@ -157,36 +165,15 @@ def _sci(value: Fraction, sig: int) -> str:
         e10 -= 1
     shift = sig - 1 - e10
     if shift >= 0:
-        digits = num * 10**shift // den
+        num *= 10**shift
     else:
-        digits = num // (den * 10**-shift)
-    s = str(digits)
-    if len(s) > sig:  # rare carry from the floor above
+        den *= 10**-shift
+    s = str(-(-num // den) if round_up else num // den)
+    if len(s) > sig:  # carry from the rounding above
         e10 += len(s) - sig
         s = s[:sig]
-    mant = s[0] + ("." + s[1:].rstrip("0") if s[1:].rstrip("0") else "")
-    return f"{sign}{mant}e{e10:+d}"
-
-
-def _sci_ceil(value: Fraction, sig: int) -> str:
-    """Like _sci but rounds the magnitude up (safe for error bounds)."""
-    if value == 0:
-        return "0"
-    num, den = abs(value).numerator, abs(value).denominator
-    e10 = _digits10(num) - _digits10(den)
-    if num * 10 ** max(0, -e10) < den * 10 ** max(0, e10):
-        e10 -= 1
-    shift = sig - 1 - e10
-    if shift >= 0:
-        digits = -(-num * 10**shift // den)
-    else:
-        digits = -(-num // (den * 10**-shift))
-    s = str(digits)
-    if len(s) > sig:
-        e10 += len(s) - sig
-        s = s[:sig]
-    mant = s[0] + ("." + s[1:] if s[1:] else "")
-    return f"{mant}e{e10:+d}"
+    tail = s[1:] if round_up else s[1:].rstrip("0")
+    return f"{sign}{s[0]}{'.' + tail if tail else ''}e{e10:+d}"
 
 
 def fraction_str(value: Fraction | None, max_digits: int = 60, sig: int = 24) -> str | None:
@@ -207,6 +194,27 @@ def fraction_str(value: Fraction | None, max_digits: int = 60, sig: int = 24) ->
     return _sci(value, sig)
 
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _jsonable(obj):
+    """JSON-ready copy of a report value: rationals through fraction_str,
+    objects through their to_obj(), NumPy scalars as Python numbers."""
+    if type(obj) in _JSON_SCALARS:  # the common case, tested without ABC checks
+        return obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return fraction_str(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    if hasattr(obj, "to_obj"):
+        return _jsonable(obj.to_obj())
+    return obj
+
+
 def unit_fraction(n: int, scale_bits: int) -> BigFixed:
     """1/n as a BigFixed with at most one ulp of error."""
     if n < 1:
@@ -217,35 +225,87 @@ def unit_fraction(n: int, scale_bits: int) -> BigFixed:
     return BigFixed(m, scale_bits, inexact)
 
 
-def signed_harmonic_sum(signs: SignSequence, scale_bits: int) -> BigFixed:
-    """Sum of sign(n)/n over the support, with err <= |support| ulps."""
-    total = 0
-    err = 0
+def rounded_units(ns, scale_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """2^scale_bits / n rounded half up for every n, as int64, with a mask of
+    the terms that rounding changed; scale_bits may be at most 62."""
+    if not 1 <= scale_bits <= 62:
+        raise ValueError("int64 units need 1 <= scale_bits <= 62")
+    ns = np.asarray(ns, dtype=np.int64)
+    q, r = np.divmod(np.int64(1) << scale_bits, ns)
+    return q + (2 * r >= ns), r != 0
+
+
+def unit_sum(ns, scale_bits: int, signs=None) -> BigFixed:
+    """Sum of s/n with each 1/n rounded half up to a multiple of 2^-scale_bits.
+
+    `signs` holds the +1/-1 of each term (all +1 when None). err_ulps is the
+    number of inexact terms; each is off by at most half an ulp.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    plus = np.ones(len(ns), dtype=bool) if signs is None else np.asarray(signs) > 0
+    if max(len(ns), 1) << scale_bits < 1 << 63:  # the int64 sum cannot overflow
+        units, inexact = rounded_units(ns, scale_bits)
+        total = int(units[plus].sum()) - int(units[~plus].sum())
+        return BigFixed(total, scale_bits, int(inexact.sum()))
+    return _unit_sum_loop(ns.tolist(), plus.tolist(), scale_bits)
+
+
+def _unit_sum_loop(ns: list[int], plus: list[bool], scale_bits: int) -> BigFixed:
     one = 1 << scale_bits
-    for n, s in zip(signs.support.values, signs.signs):
-        q, r = divmod(one, int(n))
-        if 2 * r >= n:
-            q += 1
-        if r:
-            err += 1
-        total += q if s > 0 else -q
+    total = err = 0
+    for n, p in zip(ns, plus):
+        q, inexact = _round_nearest(one, n)
+        total += q if p else -q
+        err += inexact
     return BigFixed(total, scale_bits, err)
 
 
-def exact_rational_sum(signs: SignSequence, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET) -> Fraction:
-    """Exact value of the signed harmonic sum as a reduced rational."""
-    den = 1
-    for n in signs.support.values:
+def signed_harmonic_sum(signs: SignSequence, scale_bits: int) -> BigFixed:
+    """Sum of sign(n)/n over the support, with err <= |support| ulps."""
+    return unit_sum(signs.support.values, scale_bits, signs.signs)
+
+
+def lcm_weights(ns, target=0, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET):
+    """(D, target * D, weights D // n in the order of ns) with D the lcm of
+    ns and the denominator of target; ns is walked twice.
+
+    The weights are made lazily: each is about as large as D, so a caller
+    that walks them once never holds all of them.
+    """
+    target = Fraction(target)
+    den = target.denominator
+    for n in ns:
         den = math.lcm(den, int(n))
         if den.bit_length() > lcm_bit_budget:
             raise ResourceBudgetError(
                 f"common denominator exceeds {lcm_bit_budget} bits"
             )
-    num = 0
-    for n, s in zip(signs.support.values, signs.signs):
-        w = den // int(n)
-        num += w if s > 0 else -w
-    return Fraction(num, den)
+    return den, target.numerator * (den // target.denominator), (den // int(n) for n in ns)
+
+
+def signed_weight_sum(weights, signs) -> int:
+    """Sum of +w or -w over paired weights and +1/-1 signs."""
+    total = 0
+    for w, s in zip(weights, signs):
+        if s > 0:
+            total += w
+        else:
+            total -= w
+    return total
+
+
+def signed_subset_sums(weights: list[int]) -> list[int]:
+    """All 2^m sums of +w_j or -w_j; bit j of a sum's index set means -w_j."""
+    out = [0]
+    for w in weights:
+        out = [s + w for s in out] + [s - w for s in out]
+    return out
+
+
+def exact_rational_sum(signs: SignSequence, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET) -> Fraction:
+    """Exact value of the signed harmonic sum as a reduced rational."""
+    den, _, weights = lcm_weights(signs.support.values.tolist(), lcm_bit_budget=lcm_bit_budget)
+    return Fraction(signed_weight_sum(weights, signs.signs.tolist()), den)
 
 
 def compare_to_threshold(value: BigFixed, eta: BigFixed) -> Comparison:
@@ -303,14 +363,13 @@ def verify_abs_below(
     bits = start_bits
     while bits <= max_bits:
         v = BigFixed.from_fraction(value, bits)
-        e = BigFixed.from_fraction(eta, bits)
-        outcome = compare_to_threshold(v, e)
+        outcome = compare_to_threshold(v, BigFixed.from_fraction(eta, bits))
         if outcome is not Comparison.INDETERMINATE:
-            if log is not None:
-                log.record(label, outcome, bits)
-            return outcome, v, bits
+            break
         bits *= 2
-    outcome = Comparison.BELOW if abs(value) <= eta else Comparison.ABOVE
+    else:
+        outcome = Comparison.BELOW if abs(value) <= eta else Comparison.ABOVE
+        v, bits = BigFixed.from_fraction(value, max_bits), max_bits
     if log is not None:
         log.record(label, outcome, bits)
-    return outcome, BigFixed.from_fraction(value, max_bits), max_bits
+    return outcome, v, bits

@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-from .numerics import BigFixed, ResourceBudgetError
+from .numerics import BigFixed, ResourceBudgetError, unit_sum
 from .support import SupportSet
 
 # Hard cap on sieve size; beyond this the spf table alone is >0.8 GB.
@@ -146,18 +144,7 @@ class SieveTable:
 
     def prime_reciprocal_sum(self, a: int, b: int, scale_bits: int) -> BigFixed:
         """Error-bounded sum of 1/p over primes in (a, b]."""
-        ps = self.primes_in(a, b)
-        total = 0
-        err = 0
-        one = 1 << scale_bits
-        for p in ps.values:
-            q, r = divmod(one, int(p))
-            if 2 * r >= p:
-                q += 1
-            if r:
-                err += 1
-            total += q
-        return BigFixed(total, scale_bits, err)
+        return unit_sum(self.primes_in(a, b).values, scale_bits)
 
     def rough_smooth_split(self, n: int, y: int) -> RoughSmoothSplit:
         """Split n into its y-rough and y-smooth parts."""
@@ -204,10 +191,6 @@ class SieveTable:
             raise SieveRangeError("support exceeds sieve range")
         mask = om[vals] <= bound
         return SupportSet(vals[mask])
-
-
-def build_sieve(limit: int) -> SieveTable:
-    return SieveTable(limit)
 
 
 _RHO_CACHE: dict[float, tuple[np.ndarray, float]] = {}
@@ -266,9 +249,3 @@ def dickman_rho_grid(u_max: float, coarse: float = 0.1, step: float = 1e-3):
     us = np.arange(0.0, u_max + coarse / 2, coarse)
     return [(float(u), dickman_rho(float(u), step)) for u in us]
 
-
-def harmonic_number(n: int) -> Fraction:
-    out = Fraction(0)
-    for k in range(1, n + 1):
-        out += Fraction(1, k)
-    return out

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from .numerics import lcm_weights
 
 
 class SupportSet:
@@ -88,17 +89,11 @@ class SupportSet:
 
     def reciprocal_sum(self) -> Fraction:
         """Exact sum of 1/n over the set."""
-        if not len(self):
-            return Fraction(0)
-        den = self.lcm()
-        num = sum(den // int(n) for n in self.values)
-        return Fraction(num, den)
+        den, _, weights = lcm_weights(self.values.tolist())
+        return Fraction(sum(weights), den)
 
     def lcm(self) -> int:
-        out = 1
-        for n in self.values:
-            out = math.lcm(out, int(n))
-        return out
+        return lcm_weights(self.values.tolist())[0]
 
     def to_ranges(self) -> list[list[int]]:
         """Maximal runs of consecutive integers as [lo, hi] pairs."""

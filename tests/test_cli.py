@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -56,7 +57,7 @@ def test_threads_flag_is_only_recorded(tmp_path):
     assert payloads[0] == payloads[1]
     assert cli.run(args + ["--threads", "0"]) == cli.EXIT_USAGE
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": "3"}))
+    cfg.write_text(json.dumps({"threads": "0"}))
     assert cli.run(["--config", str(cfg)] + args) == cli.EXIT_USAGE
 
 
@@ -184,3 +185,93 @@ def test_config_file_defaults(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["rng_seed"] == 99
     assert payload["report"]["rng_seed"] == 99
+
+
+def test_config_values_convert_through_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    args = ["construct", "--interval", "100..400", "--method", "mitm"]
+    out = tmp_path / "o.json"
+    cfg.write_text(json.dumps({"max_free": "40"}))
+    assert cli.run(["--config", str(cfg)] + args + ["--out", str(out)]) == cli.EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["config"]["max_free"] == 40
+    assert payload["report"]["details"]["free_count"] == 40
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"max_free": "abc"}))
+    assert cli.run(["--config", str(cfg)] + args) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    cfg.write_text(json.dumps({"method": "bogus"}))
+    assert cli.run(["--config", str(cfg)] + args[:3]) == cli.EXIT_USAGE
+
+
+def _write_report(path: Path, ranges, rle, target: str) -> Path:
+    obj = {"report": {"signs": {"support_ranges": ranges, "signs_rle": rle}, "target_eta": target}}
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_verify_precision_bits_bounded(tmp_path, capsys):
+    report = _write_report(tmp_path / "r.json", [[1, 40]], [[1, 20], [-1, 20]], "1/1000")
+    for bits in ("0", "40000"):
+        assert cli.run(["verify", "--signs", str(report), "--precision-bits", bits]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    out = tmp_path / "v.json"
+    code = cli.run(["verify", "--signs", str(report), "--precision-bits", str(cli.MAX_PRECISION_BITS),
+                    "--out", str(out)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert json.loads(out.read_text())["report"]["precision_bits"] == cli.MAX_PRECISION_BITS
+
+
+def test_verify_sum_equal_to_target_is_below(tmp_path, capsys):
+    # all +1 on [1, 10]: the sum is H_10 = 7381/2520 exactly, so no interval
+    # decides and the exact non-strict comparison must
+    report = _write_report(tmp_path / "r.json", [[1, 10]], [[1, 10]], "7381/2520")
+    out = tmp_path / "v.json"
+    assert cli.run(["verify", "--signs", str(report), "--out", str(out)]) == cli.EXIT_OK
+    assert "Below" in capsys.readouterr().out
+    result = json.loads(out.read_text())["report"]
+    assert result["outcome"] == "below"
+    assert result["precision_bits"] == cli.MAX_PRECISION_BITS
+
+
+# SHA-256 of each command's JSON record, wall_time and the report path left
+# out, pinned from the code before the arithmetic helpers were merged.
+FIXED_SEED_RECORDS = {
+    "greedy": (["construct", "--interval", "1..60", "--method", "greedy"], 0,
+               "94b0e5271086925f81f56758abbb7610e318e983ae17291aefa9397ad6b6bfd4"),
+    "flip": (["construct", "--interval", "10..200", "--method", "flip", "--alpha", "1/3"], 0,
+             "a17d9489a1426f152333ee0cc62f7b4740f206e587109e3597cad11e61172470"),
+    "mitm": (["construct", "--interval", "100..400", "--method", "mitm", "--max-free", "30",
+              "--x0", "1/777", "--eta", "1/1000000"], 0,
+             "474abd057c3fa40de8e7a894cbc5595926411095eecf977cbffde1513e1d72f7"),
+    "random": (["construct", "--set", "2..20", "--method", "random", "--eta", "1/1000",
+                "--seed", "5"], 0,
+               "df6e6f184d2de32a22e99bb7602a52cdd1474958b27b909ad7623306b5a38edf"),
+    "pipeline_construct": (["construct", "--interval", "1..256", "--method", "pipeline",
+                            "--seed", "7", "--max-free", "32"], 0,
+                           "c28aa6b53112cdef9c9179fdb12938278ea4514ad2c1f3bc7bdcc5c797fae184"),
+    "oracle": (["oracle", "--set", "1..16", "--x0", "1/5"], 0,
+               "371de075132864ab1e88ad9f801335e099ee2f558253026fd251b772dc83f325"),
+    "verify": (["verify", "--eta", "1/100000000"], 1,
+               "08b23a9fa7f384591321a8ea7455ef1a862a8cc383dc6c7eb4a25ba4426c830b"),
+    "pipeline": (["pipeline", "--scales", "2000,16000", "--max-free", "30",
+                  "--allow-nonpositive-delta"], 1,
+                 "082be78663256cc32c77f9414f908070be4823e4420ad5287b4d44be45d2b149"),
+}
+
+
+def test_fixed_seed_records_unchanged(tmp_path):
+    got, want = {}, {}
+    for name, (argv, code, digest) in FIXED_SEED_RECORDS.items():
+        out = tmp_path / f"{name}.json"
+        if name == "verify":  # re-checks the report of the mitm command
+            argv = argv + ["--signs", str(tmp_path / "mitm.json")]
+        exit_code = cli.run(argv + ["--out", str(out)])
+        payload = _strip_wall_time(json.loads(out.read_text()))
+        payload["config"].pop("signs", None)
+        text = json.dumps(payload, sort_keys=True)
+        got[name] = (exit_code, hashlib.sha256(text.encode()).hexdigest())
+        want[name] = (code, digest)
+    assert got == want

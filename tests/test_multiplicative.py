@@ -48,6 +48,10 @@ def test_partial_sum_and_log_mean(sieve_small):
     h100 = sum(Fraction(1, k) for k in range(1, 101))
     assert ones.log_mean_exact(100) == h100
     assert ones.log_mean(100, 64).contains(h100)
+    # at 40 bits or fewer too, each 1/m is rounded to nearest and only the
+    # 93 inexact terms (all but the 7 powers of two) count toward the error
+    low = ones.log_mean(100, 32)
+    assert low.contains(h100) and low.err_ulps == 93
     lam = mult.MultiplicativeFn(sieve_small, "liouville")
     assert lam.partial_sum(2) == 0
 

@@ -1,0 +1,132 @@
+"""Property tests: interval containment, the shared exact and fixed-point sum
+helpers against Fraction references, the RLE round-trip and values_range."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmsum import multiplicative as mult
+from harmsum.numerics import (
+    BigFixed,
+    _round_nearest,
+    _sci,
+    _unit_sum_loop,
+    exact_rational_sum,
+    lcm_weights,
+    rounded_units,
+    signed_subset_sums,
+    signed_weight_sum,
+    unit_sum,
+)
+from harmsum.sieve import SieveTable
+from harmsum.support import SignSequence, SupportSet
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+SIEVE = SieveTable(5000)
+
+fractions = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+supports = st.lists(st.integers(1, 5000), min_size=0, max_size=60, unique=True).map(sorted)
+
+
+@st.composite
+def signed_supports(draw):
+    ns = draw(supports)
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(ns), max_size=len(ns)))
+    return ns, signs
+
+
+@st.composite
+def enclosures(draw):
+    """A BigFixed and an exact value inside its interval."""
+    bits = draw(st.integers(1, 80))
+    mantissa = draw(st.integers(-(1 << 90), 1 << 90))
+    err = draw(st.integers(0, 1 << 20))
+    t = draw(st.fractions(min_value=-1, max_value=1, max_denominator=1000))
+    return BigFixed(mantissa, bits, err), (mantissa + t * err) / Fraction(1 << bits)
+
+
+@PROPERTY_SETTINGS
+@given(enclosures(), enclosures(), fractions)
+def test_bigfixed_containment(a, b, q):
+    (x, xv), (y, yv) = a, b
+    assert x.contains(xv) and y.contains(yv)
+    assert (x + y).contains(xv + yv)
+    assert (-x).contains(-xv)
+    assert (x - y).contains(xv - yv)
+    assert x.mul_fraction(q).contains(xv * q)
+
+
+@PROPERTY_SETTINGS
+@given(signed_supports())
+def test_rle_round_trip(case):
+    ns, signs = case
+    seq = SignSequence(SupportSet(ns), signs)
+    assert SignSequence.from_obj(seq.to_obj()) == seq
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(sorted(mult.SEED_RULES)),
+    st.dictionaries(st.sampled_from(SIEVE.primes[:200].tolist()), st.sampled_from([-1, 1]),
+                    max_size=8),
+    st.lists(st.integers(1, SIEVE.limit), min_size=1, max_size=40),
+)
+def test_values_range_matches_evaluate(rule, overrides, ns):
+    fn = mult.MultiplicativeFn(SIEVE, rule, overrides)
+    vals = fn.values_range()
+    assert [int(vals[n]) for n in ns] == [fn.evaluate(n) for n in ns]
+
+
+@PROPERTY_SETTINGS
+@given(signed_supports(), fractions)
+def test_weighted_sum_is_exact(case, target):
+    ns, signs = case
+    den, t_scaled, weights = lcm_weights(ns, target)
+    weights = list(weights)
+    assert all(den % n == 0 and w == den // n for n, w in zip(ns, weights))
+    assert den % target.denominator == 0 and Fraction(t_scaled, den) == target
+    exact = sum((Fraction(s, n) for n, s in zip(ns, signs)), Fraction(0))
+    assert Fraction(signed_weight_sum(weights, signs), den) == exact
+    assert exact_rational_sum(SignSequence(SupportSet(ns), signs)) == exact
+
+
+@PROPERTY_SETTINGS
+@given(signed_supports(), st.integers(1, 120))
+def test_rounded_sum_contains_exact(case, bits):
+    ns, signs = case
+    bf = unit_sum(ns, bits, signs)
+    exact = sum((Fraction(s, n) for n, s in zip(ns, signs)), Fraction(0))
+    assert bf.scale_bits == bits and bf.contains(exact)
+    assert bf.err_ulps == sum(1 for n in ns if (1 << bits) % n)
+    assert bf.mantissa == sum(s * _round_nearest(1 << bits, n)[0] for n, s in zip(ns, signs))
+
+
+@PROPERTY_SETTINGS
+@given(signed_supports(), st.integers(1, 56))
+def test_unit_sum_branches_agree(case, bits):
+    ns, signs = case
+    if max(len(ns), 1) << bits >= 1 << 63:  # only the loop applies
+        return
+    assert unit_sum(ns, bits, signs) == _unit_sum_loop(ns, [s > 0 for s in signs], bits)
+    units, inexact = rounded_units(ns, bits)
+    assert units.tolist() == [_round_nearest(1 << bits, n)[0] for n in ns]
+    assert inexact.tolist() == [bool((1 << bits) % n) for n in ns]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 10**30), max_size=8))
+def test_signed_subset_sums_bit_convention(weights):
+    sums = signed_subset_sums(weights)
+    assert len(sums) == 1 << len(weights)
+    for index, total in enumerate(sums):
+        assert total == sum(-w if (index >> j) & 1 else w for j, w in enumerate(weights))
+
+
+@PROPERTY_SETTINGS
+@given(st.fractions(min_value=Fraction(1, 10**40), max_value=10**40), st.integers(1, 20))
+def test_sci_brackets_the_value(value, sig):
+    low, high = Fraction(_sci(value, sig)), Fraction(_sci(value, sig, round_up=True))
+    assert low <= value <= high
+    assert len(_sci(value, sig, round_up=True).split("e")[0].replace(".", "")) == sig
+    assert high - low <= 2 * value * Fraction(10) ** (1 - sig)

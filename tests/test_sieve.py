@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from harmsum.sieve import SieveTable, build_sieve, dickman_rho
+from harmsum.sieve import SieveTable, dickman_rho
 from harmsum.support import SupportSet
 
 
@@ -12,7 +12,7 @@ def test_spf_examples(sieve_small):
     assert sieve_small.spf_of(12) == 2
     assert sieve_small.spf_of(97) == 97
     assert sieve_small.spf_of(91) == 7
-    assert build_sieve(100).spf_of(91) == 7
+    assert SieveTable(100).spf_of(91) == 7
 
 
 def test_spf_structure(sieve_small):
