@@ -128,7 +128,7 @@ def _parse_args(argv):
     if remaining:
         top.error(f"unrecognized arguments: {' '.join(remaining)}")
     if args.config:
-        defaults = json.loads(Path(args.config).read_text())
+        defaults = _read_json_object(args.config, "--config")
         given = {tok.split("=")[0] for tok in (argv or []) if tok.startswith("--")}
         actions = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in defaults.items():
@@ -142,6 +142,15 @@ def _parse_args(argv):
             f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}], got {args.precision_bits}"
         )
     return args
+
+
+def _read_json_object(path: str, flag: str) -> dict:
+    """The JSON object in the file at path; a file holding any other JSON
+    value is a usage error."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise _UsageError(f"{flag} {path}: not a JSON object")
+    return obj
 
 
 def _config_value(action: argparse.Action, key: str, val):
@@ -323,7 +332,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    payload = json.loads(Path(args.signs).read_text())
+    payload = _read_json_object(args.signs, "--signs")
     report = payload.get("report", payload)
     signs_obj = report.get("signs")
     if signs_obj is None:
@@ -336,8 +345,12 @@ def _cmd_verify(args) -> int:
     if target is None:
         print("no target eta stored or provided", file=sys.stderr)
         return EXIT_USAGE
+    # A report states its target for |sum - x0|, with x0 from its command's
+    # config; a flip report for |sum - alpha|.
+    config = payload.get("config", {})
+    x0 = Fraction(config.get("alpha" if config.get("method") == "flip" else "x0", 0))
     outcome, v, bits = verify_abs_below(
-        abs(exact_rational_sum(seq)),
+        abs(exact_rational_sum(seq) - x0),
         target,
         start_bits=args.precision_bits,
         max_bits=MAX_PRECISION_BITS,
@@ -345,6 +358,7 @@ def _cmd_verify(args) -> int:
     result = {
         "outcome": outcome.value,
         "value": v,
+        "x0": x0,
         "target_eta": target,
         "precision_bits": bits,
     }
@@ -391,7 +405,9 @@ def run(argv) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (_UsageError, ValueError, ResourceBudgetError, SieveRangeError) as exc:
+    # OSError: an input file that is missing or unreadable; ValueError also
+    # covers json.JSONDecodeError, an input file that is not JSON.
+    except (_UsageError, ValueError, OSError, ResourceBudgetError, SieveRangeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,6 +9,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .numerics import (
     default_precision,
     exact_rational_sum,
     lcm_weights,
+    rational_sum,
     rounded_units,
     signed_subset_sums,
 )
@@ -30,6 +32,7 @@ from .support import SignSequence, SupportSet
 EXACT_MITM_LIMIT = 26  # half enumerations stay <= 2^13 exact big integers
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
+GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
 
 
 class InfeasibleError(Exception):
@@ -104,34 +107,58 @@ class ConstructionReport:
         return _jsonable(vars(self))
 
 
-def _greedy_signs(weights, start_err: int, trace: list[int] | None = None):
-    """Greedy signs minimizing |err| step by step; ties resolve to +1."""
-    e = start_err
+def _certified_greedy(ns: list[int], start, scale_bits: int = GREEDY_SCALE_BITS) -> list[int]:
+    """Greedy signs over ns for the running error e = start + sum of s/n:
+    each sign is -1 when e > 0 and +1 otherwise, so ties resolve to +1.
+
+    e is tracked as a fixed-point integer at 2^-scale_bits with an ulp count
+    err, as in unit_sum: each 1/n is rounded to nearest and err counts the
+    inexact terms, so e lies within err ulps. A sign is read off the fixed
+    point only when that interval excludes 0; otherwise e is re-anchored
+    exactly, from rational_sum of the terms since the last anchor, so ties
+    and exact zeros resolve exactly. A nonzero e that the interval could not
+    resolve doubles scale_bits: greedy sums over long supports shrink far
+    below 2^-128, and each re-anchor costs an lcm-sized addition.
+    """
+    one = 1 << scale_bits
+    anchor, anchor_at = Fraction(start), 0
+    e, err = _round_nearest(anchor.numerator << scale_bits, anchor.denominator)
     signs: list[int] = []
-    for w in weights:
-        s = -1 if e > 0 else 1
-        e += s * w
+    for i, n in enumerate(ns):
+        if e - err > 0:
+            s = -1
+        elif e + err < 0:
+            s = 1
+        else:  # the interval holds 0
+            anchor += rational_sum(ns[anchor_at:i], signs[anchor_at:i])
+            anchor_at = i
+            s = -1 if anchor > 0 else 1
+            if anchor:  # nonzero yet unresolved
+                scale_bits *= 2
+                one = 1 << scale_bits
+            e, err = _round_nearest(anchor.numerator << scale_bits, anchor.denominator)
+        q, r = divmod(one, n)
+        if 2 * r >= n:
+            q += 1
+        e += q if s > 0 else -q
+        err += r != 0
         signs.append(s)
-        if trace is not None:
-            trace.append(e)
-    return signs, e
+    return signs
 
 
 def greedy_bounded(a: SupportSet, with_trace: bool = False):
     """Greedy signs over A in increasing order; every prefix sum stays in [-1, 1].
 
     Returns (SignSequence, exact sum); with_trace appends the list of exact
-    partial sums.
+    partial sums, derived from the signs.
     """
     if not len(a):
         raise ValueError("support must be nonempty")
-    den, _, weights = lcm_weights(a.values.tolist())
-    trace_scaled: list[int] | None = [] if with_trace else None
-    signs, e = _greedy_signs(weights, 0, trace_scaled)
-    seq = SignSequence(a, np.asarray(signs, dtype=np.int8))
-    total = Fraction(e, den)
+    ns = a.values.tolist()
+    signs = _certified_greedy(ns, 0)
+    seq, total = SignSequence(a, signs), rational_sum(ns, signs)
     if with_trace:
-        return seq, total, [Fraction(t, den) for t in trace_scaled]
+        return seq, total, list(accumulate(Fraction(s, n) for n, s in zip(ns, signs)))
     return seq, total
 
 
@@ -142,10 +169,9 @@ def greedy_toward(a: SupportSet, target) -> tuple[SignSequence, Fraction]:
     """
     if not len(a):
         return SignSequence(a, np.empty(0, dtype=np.int8)), Fraction(0)
-    den, t_scaled, weights = lcm_weights(a.values.tolist(), target)
-    signs, e = _greedy_signs(weights, -t_scaled)
-    seq = SignSequence(a, np.asarray(signs, dtype=np.int8))
-    return seq, Fraction(e + t_scaled, den)
+    ns = a.values.tolist()
+    signs = _certified_greedy(ns, -Fraction(target))
+    return SignSequence(a, signs), rational_sum(ns, signs)
 
 
 def flip_to_target(s: SupportSet, alpha) -> FlipResult:
@@ -154,34 +180,20 @@ def flip_to_target(s: SupportSet, alpha) -> FlipResult:
     Requires the reciprocal sum over S to exceed |alpha|; otherwise returns
     an infeasible outcome carrying the deficit. Algorithm: +1 prefix until
     the partial sum first exceeds |alpha| (all signs negated afterwards when
-    alpha < 0), then greedy on the remainder.
+    alpha < 0), then greedy on the remainder. Both are the greedy started at
+    -|alpha|: its error stays <= 0, so its signs stay +1, until the prefix
+    crosses |alpha|.
     """
     alpha = Fraction(alpha)
     if not len(s):
         return FlipResult(feasible=False, signs=None, error=None, deficit=abs(alpha))
-    den, a_scaled, weights = lcm_weights(s.values.tolist(), abs(alpha))
-    weights = list(weights)
-    total = sum(weights)
-    if total <= a_scaled:
-        return FlipResult(
-            feasible=False, signs=None, error=None, deficit=Fraction(a_scaled - total, den)
-        )
-    cum = 0
-    j0 = None
-    for i, w in enumerate(weights):
-        cum += w
-        if cum > a_scaled:
-            j0 = i
-            break
-    assert j0 is not None
-    signs = [1] * (j0 + 1)
-    tail, e = _greedy_signs(weights[j0 + 1 :], cum - a_scaled)
-    signs.extend(tail)
-    if alpha < 0:
-        signs = [-x for x in signs]
-        e = -e
-    seq = SignSequence(s, np.asarray(signs, dtype=np.int8))
-    return FlipResult(feasible=True, signs=seq, error=Fraction(e, den))
+    ns = s.values.tolist()
+    plus = _certified_greedy(ns, -abs(alpha))
+    signs = plus if alpha >= 0 else [-x for x in plus]
+    total = rational_sum(ns, signs)
+    if min(plus) > 0 and abs(total) <= abs(alpha):  # no prefix sum exceeds |alpha|
+        return FlipResult(feasible=False, signs=None, error=None, deficit=abs(alpha) - abs(total))
+    return FlipResult(feasible=True, signs=SignSequence(s, signs), error=total - alpha)
 
 
 def alternating_prefix(n_scale: int) -> tuple[SignSequence, Fraction]:

@@ -25,9 +25,8 @@ from .numerics import (
     VerificationLog,
     _jsonable,
     default_precision,
-    lcm_weights,
+    rational_sum,
     rounded_units,
-    signed_weight_sum,
     unit_sum,
     verify_abs_below,
 )
@@ -156,8 +155,7 @@ class MultiplicativeFn:
         """Exact L(f, n); denominator is lcm(1..n), so keep n moderate."""
         if n < 1 or n > self.limit:
             raise ValueError("n outside supported range")
-        den, _, weights = lcm_weights(range(1, n + 1))
-        return Fraction(signed_weight_sum(weights, self.values_range()[1 : n + 1].tolist()), den)
+        return rational_sum(range(1, n + 1), self.values_range()[1 : n + 1])
 
     def to_sign_sequence(self, support: SupportSet) -> SignSequence:
         vals = self.values_range()
@@ -350,6 +348,11 @@ def log_mean_pipeline(
     reports: list[ScaleReport] = []
     intervals: list[list[list[int]]] = []
     feasible_all = True
+
+    def exact_sum(values: np.ndarray, ms: np.ndarray) -> Fraction:
+        """Exact sum of f(m)/m over m in ms."""
+        return rational_sum(ms, values[ms])
+
     for n in scales:
         notes: list[str] = []
         (mid_lo, mid_hi), (top_lo, top_hi) = _block_intervals(n, c_cross)
@@ -360,17 +363,7 @@ def log_mean_pipeline(
         intervals.append([[mid_lo, mid_hi], [top_lo, top_hi]])
         if not len(top_primes):
             raise PipelineError(f"no primes in the top block at scale {n}")
-        # One weight table per scale: lcm(1..N) and its weights cost more
-        # than the sums that share them.
-        den, _, gen = lcm_weights(range(1, n + 1))
-        weights = [0, *gen]
         all_ms = np.arange(1, n + 1)
-
-        def exact_sum(values: np.ndarray, ms: np.ndarray) -> Fraction:
-            """Exact sum of f(m)/m over m in ms."""
-            ws = (weights[m] for m in ms.tolist())
-            return Fraction(signed_weight_sum(ws, values[ms].tolist()), den)
-
         vals = fn.values_range()
         l_total = exact_sum(vals, all_ms)
         s_top = exact_sum(vals, top_primes.values)

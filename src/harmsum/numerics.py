@@ -19,9 +19,12 @@ import numpy as np
 if TYPE_CHECKING:
     from .support import SignSequence
 
-# Denominator-size guard for exact sums; lcm(1..200000) is ~288 kbit, so this
-# leaves generous headroom while still catching runaway requests.
+# Size guard for exact sums, in bits: lcm_weights checks the bit length of the
+# lcm, rational_sum the sum of the bit lengths of the n's (a bound on their
+# product), which passes [1, N] up to N = 448 645 and stops runaway requests.
 DEFAULT_LCM_BIT_BUDGET = 8_000_000
+# rational_sum adds its first terms in blocks of this many with small integers.
+_LEAF_TERMS = 8
 
 
 class ResourceBudgetError(Exception):
@@ -283,17 +286,6 @@ def lcm_weights(ns, target=0, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET):
     return den, target.numerator * (den // target.denominator), (den // int(n) for n in ns)
 
 
-def signed_weight_sum(weights, signs) -> int:
-    """Sum of +w or -w over paired weights and +1/-1 signs."""
-    total = 0
-    for w, s in zip(weights, signs):
-        if s > 0:
-            total += w
-        else:
-            total -= w
-    return total
-
-
 def signed_subset_sums(weights: list[int]) -> list[int]:
     """All 2^m sums of +w_j or -w_j; bit j of a sum's index set means -w_j."""
     out = [0]
@@ -302,10 +294,45 @@ def signed_subset_sums(weights: list[int]) -> list[int]:
     return out
 
 
-def exact_rational_sum(signs: SignSequence, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET) -> Fraction:
+def rational_sum(ns, signs) -> Fraction:
+    """Exact sum of s/n over paired ns and +1/-1 signs, as a reduced rational.
+
+    Binary splitting (Haible and Papanikolaou, 1998): blocks of _LEAF_TERMS
+    terms are added with small integers into (p, q) with q the product of
+    their n's, then neighbours merge pairwise over q1 * q2 / gcd(q1, q2), so
+    a node's denominator stays near the lcm of its n's. One final Fraction
+    reduces the result.
+    """
+    ns = ns.tolist() if isinstance(ns, np.ndarray) else [int(n) for n in ns]
+    signs = signs.tolist() if isinstance(signs, np.ndarray) else list(signs)
+    if len(ns) != len(signs):
+        raise ValueError("ns and signs differ in length")
+    if sum(map(int.bit_length, ns)) > DEFAULT_LCM_BIT_BUDGET:
+        raise ResourceBudgetError(
+            f"product of the denominators exceeds {DEFAULT_LCM_BIT_BUDGET} bits"
+        )
+    nodes = []
+    for i in range(0, len(ns), _LEAF_TERMS):
+        p, q = 0, 1
+        for n, s in zip(ns[i : i + _LEAF_TERMS], signs[i : i + _LEAF_TERMS]):
+            p = p * n + q if s > 0 else p * n - q
+            q *= n
+        nodes.append((p, q))
+    while len(nodes) > 1:
+        merged = []
+        for (p1, q1), (p2, q2) in zip(nodes[0::2], nodes[1::2]):
+            g = math.gcd(q1, q2)
+            a, b = q1 // g, q2 // g
+            merged.append((p1 * b + p2 * a, q1 * b))
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    return Fraction(*nodes[0]) if nodes else Fraction(0)
+
+
+def exact_rational_sum(signs: SignSequence) -> Fraction:
     """Exact value of the signed harmonic sum as a reduced rational."""
-    den, _, weights = lcm_weights(signs.support.values.tolist(), lcm_bit_budget=lcm_bit_budget)
-    return Fraction(signed_weight_sum(weights, signs.signs.tolist()), den)
+    return rational_sum(signs.support.values, signs.signs)
 
 
 def compare_to_threshold(value: BigFixed, eta: BigFixed) -> Comparison:

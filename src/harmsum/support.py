@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import lcm_weights
+from .numerics import lcm_weights, rational_sum
 
 
 class SupportSet:
@@ -89,8 +89,7 @@ class SupportSet:
 
     def reciprocal_sum(self) -> Fraction:
         """Exact sum of 1/n over the set."""
-        den, _, weights = lcm_weights(self.values.tolist())
-        return Fraction(sum(weights), den)
+        return rational_sum(self.values, [1] * len(self))
 
     def lcm(self) -> int:
         return lcm_weights(self.values.tolist())[0]

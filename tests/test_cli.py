@@ -25,23 +25,44 @@ def test_usage_error_exit_code():
     assert cli.run(["bogus"]) == cli.EXIT_USAGE
 
 
-def test_limit_errors_exit_usage_without_traceback():
+def _assert_usage_exit_without_traceback(argv):
     # run as `python -m harmsum.cli`, the way a shell user meets the error
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmsum.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_limit_errors_exit_usage_without_traceback():
     for argv in (
         ["construct", "--interval", "1..200", "--method", "mitm", "--max-free", "60"],
         ["sieve", "--limit", "100", "--psi", "1000:3"],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "harmsum.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == cli.EXIT_USAGE
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
+        _assert_usage_exit_without_traceback(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{path}", "construct", "--interval", "1..20", "--method", "greedy"],
+        ["verify", "--signs", "{path}"],
+        ["construct", "--set", "@{path}", "--method", "greedy"],
+    ],
+    ids=["config", "verify-signs", "set-file"],
+)
+@pytest.mark.parametrize("content", [None, "{", "[1, 2]"], ids=["missing", "not-json", "list"])
+def test_bad_input_file_exits_usage_without_traceback(tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    _assert_usage_exit_without_traceback([a.format(path=path) for a in argv])
 
 
 def test_threads_flag_is_only_recorded(tmp_path):
@@ -123,6 +144,47 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "Below" in capsys.readouterr().out
     code = cli.run(["verify", "--signs", str(report), "--eta", "1/1000000000"])
     assert code == cli.EXIT_INFEASIBLE
+
+
+def _flip_smallest_sign(report: Path) -> Path:
+    """A copy of the report with the sign of its smallest element flipped."""
+    payload = json.loads(report.read_text())
+    rle = payload["report"]["signs"]["signs_rle"]
+    sign, count = rle[0]
+    rle[:1] = [[-sign, 1]] + ([[sign, count - 1]] if count > 1 else [])
+    out = report.with_name("tampered.json")
+    out.write_text(json.dumps(payload))
+    return out
+
+
+@pytest.mark.parametrize(
+    "method, args, eta",
+    [
+        # greedy and flip reports store no target: verify the greedy's own
+        # achieved value and the flip contract |sum - alpha| <= 1/min(S)
+        ("greedy", ["--interval", "1..60"], "achieved_exact"),
+        ("flip", ["--interval", "10..200", "--alpha", "1/3"], "1/10"),
+        ("mitm", ["--interval", "100..400", "--max-free", "30", "--x0", "1/777",
+                  "--eta", "1/1000000"], None),
+        ("random", ["--set", "2..20", "--x0", "1/7", "--eta", "1/100", "--seed", "5"], None),
+        ("pipeline", ["--interval", "1..256", "--seed", "7", "--max-free", "32"], None),
+    ],
+)
+def test_construct_report_verifies_and_tampering_fails(tmp_path, capsys, method, args, eta):
+    report = tmp_path / "report.json"
+    assert cli.run(["construct", "--method", method, *args, "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    if eta == "achieved_exact":
+        eta = payload["report"]["achieved_exact"]
+    flags = [] if eta is None else ["--eta", eta]
+    center = payload["config"]["alpha" if method == "flip" else "x0"]
+    for signs, code, word in ((report, cli.EXIT_OK, "Below"),
+                              (_flip_smallest_sign(report), cli.EXIT_INFEASIBLE, "Above")):
+        capsys.readouterr()
+        out = tmp_path / "verify.json"
+        assert cli.run(["verify", "--signs", str(signs), *flags, "--out", str(out)]) == code
+        assert capsys.readouterr().out.strip() == word
+        assert json.loads(out.read_text())["report"]["x0"] == center
 
 
 def test_sieve_csv(tmp_path):
@@ -237,7 +299,9 @@ def test_verify_sum_equal_to_target_is_below(tmp_path, capsys):
 
 
 # SHA-256 of each command's JSON record, wall_time and the report path left
-# out, pinned from the code before the arithmetic helpers were merged.
+# out, pinned from the code before the arithmetic helpers were merged; the
+# verify record since verify checks |sum - x0| with the x0 of the mitm report
+# (it checked |sum| and printed Above for a report that met its target).
 FIXED_SEED_RECORDS = {
     "greedy": (["construct", "--interval", "1..60", "--method", "greedy"], 0,
                "94b0e5271086925f81f56758abbb7610e318e983ae17291aefa9397ad6b6bfd4"),
@@ -254,8 +318,8 @@ FIXED_SEED_RECORDS = {
                            "c28aa6b53112cdef9c9179fdb12938278ea4514ad2c1f3bc7bdcc5c797fae184"),
     "oracle": (["oracle", "--set", "1..16", "--x0", "1/5"], 0,
                "371de075132864ab1e88ad9f801335e099ee2f558253026fd251b772dc83f325"),
-    "verify": (["verify", "--eta", "1/100000000"], 1,
-               "08b23a9fa7f384591321a8ea7455ef1a862a8cc383dc6c7eb4a25ba4426c830b"),
+    "verify": (["verify", "--eta", "1/100000000"], 0,
+               "c87722b2ef85f5f73c552d96f3b1f0180771a46e28fe9e975f8ce2550d3ceba7"),
     "pipeline": (["pipeline", "--scales", "2000,16000", "--max-free", "30",
                   "--allow-nonpositive-delta"], 1,
                  "082be78663256cc32c77f9414f908070be4823e4420ad5287b4d44be45d2b149"),

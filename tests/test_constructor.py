@@ -3,10 +3,67 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmsum import constructor as ctor
 from harmsum.numerics import exact_rational_sum
 from harmsum.support import SignSequence, SupportSet
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+# Each set's signed reciprocals cancel exactly, e.g. 1 - 1/2 - 1/3 - 1/6 = 0,
+# and so do its multiples, so partial sums of unions of them hit 0 often.
+EGYPTIAN = ((1, 2, 3, 6), (2, 3, 6), (2, 4, 6, 12), (3, 4, 12), (2, 3, 7, 42), (4, 5, 20),
+            (6, 9, 18))
+
+
+def _reference_greedy(ns: list[int], start: Fraction) -> list[int]:
+    """The greedy over exact integer weights lcm / n: -1 while the error is
+    positive, +1 otherwise."""
+    den = math.lcm(start.denominator, *ns)
+    e = start.numerator * (den // start.denominator)
+    signs = []
+    for n in ns:
+        s = -1 if e > 0 else 1
+        e += s * (den // n)
+        signs.append(s)
+    return signs
+
+
+def _reference_flip(ns: list[int], alpha: Fraction):
+    """(signs, None) or (None, deficit): +1 until the prefix sum first exceeds
+    |alpha|, then the greedy on the rest; negated when alpha < 0."""
+    cum = Fraction(0)
+    for j, n in enumerate(ns):
+        cum += Fraction(1, n)
+        if cum > abs(alpha):
+            signs = [1] * (j + 1) + _reference_greedy(ns[j + 1 :], cum - abs(alpha))
+            return (signs if alpha >= 0 else [-s for s in signs]), None
+    return None, abs(alpha) - cum
+
+
+@st.composite
+def tie_heavy_sets(draw):
+    ns = set(draw(st.lists(st.integers(1, 300), max_size=8)))
+    for base in draw(st.lists(st.sampled_from(EGYPTIAN), min_size=1, max_size=4)):
+        k = draw(st.integers(1, 6))
+        ns.update(k * b for b in base)
+    return sorted(ns)
+
+
+@st.composite
+def greedy_cases(draw):
+    """A tie-heavy set and a start: 0, a small rational, or minus a signed
+    partial sum of the set, which the greedy then meets exactly."""
+    ns = draw(tie_heavy_sets())
+    kind = draw(st.sampled_from(["zero", "fraction", "partial"]))
+    if kind == "zero":
+        return ns, Fraction(0)
+    if kind == "fraction":
+        return ns, draw(st.fractions(-2, 2, max_denominator=60))
+    j = draw(st.integers(0, len(ns)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=j, max_size=j))
+    return ns, -sum((Fraction(s, n) for n, s in zip(ns, signs)), Fraction(0))
 
 
 def test_greedy_bounded_examples():
@@ -25,6 +82,50 @@ def test_greedy_bounded_prefix_invariant():
         ns = np.sort(rng.choice(np.arange(1, 2000), size=size, replace=False))
         _, _, trace = ctor.greedy_bounded(SupportSet(ns), with_trace=True)
         assert all(abs(t) <= 1 for t in trace)
+
+
+@PROPERTY_SETTINGS
+@given(greedy_cases(), st.one_of(st.integers(1, 24), st.just(ctor.GREEDY_SCALE_BITS)))
+@example(([1, 2, 3, 6, 7], Fraction(0)), ctor.GREEDY_SCALE_BITS)  # 1 - 1/2 - 1/3 - 1/6 = 0
+def test_certified_greedy_matches_exact_weights(case, bits):
+    # a few bits force the exact re-anchoring at most steps, 128 almost never
+    ns, start = case
+    assert ctor._certified_greedy(ns, start, bits) == _reference_greedy(ns, start)
+
+
+@PROPERTY_SETTINGS
+@given(greedy_cases())
+def test_greedy_values_derived_from_signs(case):
+    ns, start = case
+    a = SupportSet(ns)
+    seq, total, trace = ctor.greedy_bounded(a, with_trace=True)
+    assert seq.signs.tolist() == _reference_greedy(ns, Fraction(0))
+    assert total == exact_rational_sum(seq) == trace[-1]
+    seq, total = ctor.greedy_toward(a, -start)
+    assert seq.signs.tolist() == _reference_greedy(ns, start)
+    assert total == exact_rational_sum(seq)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_flip_matches_reference_at_exact_prefix_sums(data):
+    ns = data.draw(tie_heavy_sets())
+    # |alpha| equal to a prefix sum makes the crossing test an exact tie;
+    # j = len(ns) puts alpha at the full sum, the infeasible boundary
+    j = data.draw(st.integers(0, len(ns)))
+    alpha = sum((Fraction(1, n) for n in ns[:j]), Fraction(0)) + data.draw(
+        st.sampled_from([0, 0, Fraction(1, 10**30), -Fraction(1, 10**30)])
+    )
+    alpha *= data.draw(st.sampled_from([1, -1]))
+    res = ctor.flip_to_target(SupportSet(ns), alpha)
+    signs, deficit = _reference_flip(ns, alpha)
+    assert res.feasible == (signs is not None)
+    if res.feasible:
+        assert res.signs.signs.tolist() == signs
+        assert res.error == exact_rational_sum(res.signs) - alpha
+        assert abs(res.error) <= Fraction(1, ns[0])
+    else:
+        assert res.signs is None and res.deficit == deficit >= 0
 
 
 def test_flip_examples():

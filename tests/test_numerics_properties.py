@@ -3,20 +3,23 @@ helpers against Fraction references, the RLE round-trip and values_range."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmsum import multiplicative as mult
 from harmsum.numerics import (
+    DEFAULT_LCM_BIT_BUDGET,
     BigFixed,
+    ResourceBudgetError,
     _round_nearest,
     _sci,
     _unit_sum_loop,
     exact_rational_sum,
     lcm_weights,
+    rational_sum,
     rounded_units,
     signed_subset_sums,
-    signed_weight_sum,
     unit_sum,
 )
 from harmsum.sieve import SieveTable
@@ -87,8 +90,35 @@ def test_weighted_sum_is_exact(case, target):
     assert all(den % n == 0 and w == den // n for n, w in zip(ns, weights))
     assert den % target.denominator == 0 and Fraction(t_scaled, den) == target
     exact = sum((Fraction(s, n) for n, s in zip(ns, signs)), Fraction(0))
-    assert Fraction(signed_weight_sum(weights, signs), den) == exact
+    assert rational_sum(ns, signs) == exact
     assert exact_rational_sum(SignSequence(SupportSet(ns), signs)) == exact
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 10**12), st.sampled_from([-1, 1])), min_size=0, max_size=90
+    )
+)
+@example([])
+@example([(7, -1)])
+@example([(1, 1), (2, -1), (3, -1), (6, -1)])  # an exact zero
+def test_rational_sum_matches_fraction(terms):
+    # ns repeat and come in any order; every block and merge size is drawn
+    ns, signs = [n for n, _ in terms], [s for _, s in terms]
+    exact = sum((Fraction(s, n) for n, s in terms), Fraction(0))
+    assert rational_sum(ns, signs) == exact
+    assert rational_sum(range(1, len(ns) + 1), signs) == sum(
+        (Fraction(s, n) for n, s in enumerate(signs, 1)), Fraction(0)
+    )
+
+
+def test_rational_sum_guard_precedes_arithmetic():
+    # 2^62 has 63 bits: just enough terms to pass the budget by one term
+    ns = [1 << 62] * (DEFAULT_LCM_BIT_BUDGET // 63 + 1)
+    with pytest.raises(ResourceBudgetError):
+        rational_sum(ns, [1] * len(ns))
+    assert rational_sum(ns[:3], [1, 1, -1]) == Fraction(1, 1 << 62)
 
 
 @PROPERTY_SETTINGS
