@@ -330,25 +330,50 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK if state.feasible else EXIT_INFEASIBLE
 
 
+def _is_int_pairs(obj) -> bool:
+    """Whether obj is a JSON list of [int, int] pairs."""
+    if not isinstance(obj, list) or not obj:
+        return obj == []
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # ragged nesting
+        return False
+    return arr.dtype.kind == "i" and arr.shape[1:] == (2,)
+
+
+def _stored_fraction(value, name: str) -> Fraction:
+    """A rational that a report or its config stores as an int or a string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _UsageError(f"{name} is not a rational: {value!r}")
+
+
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     payload = _read_json_object(args.signs, "--signs")
     report = payload.get("report", payload)
+    config = payload.get("config", {})
+    if not isinstance(report, dict) or not isinstance(config, dict):
+        raise _UsageError("the report and the config must be JSON objects")
     signs_obj = report.get("signs")
     if signs_obj is None:
-        print("no signs found in the report", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("no signs found in the report")
+    for key in ("support_ranges", "signs_rle"):
+        if not isinstance(signs_obj, dict) or not _is_int_pairs(signs_obj.get(key)):
+            raise _UsageError(f"the report's signs need {key} as a list of [int, int] pairs")
     seq = SignSequence.from_obj(signs_obj)
     target = args.eta
     if target is None and report.get("target_eta"):
-        target = Fraction(report["target_eta"])
+        target = _stored_fraction(report["target_eta"], "target_eta")
     if target is None:
-        print("no target eta stored or provided", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("no target eta stored or provided")
     # A report states its target for |sum - x0|, with x0 from its command's
     # config; a flip report for |sum - alpha|.
-    config = payload.get("config", {})
-    x0 = Fraction(config.get("alpha" if config.get("method") == "flip" else "x0", 0))
+    key = "alpha" if config.get("method") == "flip" else "x0"
+    x0 = _stored_fraction(config.get(key, 0), key)
     outcome, v, bits = verify_abs_below(
         abs(exact_rational_sum(seq) - x0),
         target,

@@ -32,6 +32,8 @@ from .support import SignSequence, SupportSet
 EXACT_MITM_LIMIT = 26  # half enumerations stay <= 2^13 exact big integers
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
+MITM_BLOCK = 1 << 14  # queries per block of the fixed-point MITM sweep
+MITM_TAIL_UNITS = 6  # units per half looked up by value in _sorted_indices
 GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
 
 
@@ -251,22 +253,58 @@ def _spread_indices(n_items: int, count: int) -> np.ndarray:
     return idx
 
 
-def _sorted_half_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^m signed sums of `units` in ascending order, with their indices.
+def _half_sums(units: np.ndarray) -> np.ndarray:
+    """All 2^m signed sums of int64 `units`, in the order of
+    numerics.signed_subset_sums: bit j of an entry's index means -u_j.
 
-    Index bit j set means sign -1 on unit j. Each unit doubles the sorted run
-    by merging the two sorted runs v - u and v + u; the smallest units go
-    first, so the last merges, which move the most data, interleave least.
+    Built in place: unit j turns the first 2^j entries v into v + u_j
+    followed by v - u_j.
     """
-    vals = np.zeros(1, dtype=np.int64)
-    idx = np.zeros(1, dtype=np.int32)
-    for j in np.argsort(units, kind="stable").tolist():
-        u = int(units[j])
-        merged = np.concatenate((vals - u, vals + u))
-        perm = np.argsort(merged, kind="stable")  # a single run merge
-        vals = merged[perm]
-        idx = np.concatenate((idx | (1 << j), idx))[perm]
-    return vals, idx
+    out = np.empty(1 << len(units), dtype=np.int64)
+    out[0] = 0
+    n = 1
+    for u in units.tolist():
+        np.subtract(out[:n], u, out=out[n : 2 * n])
+        out[:n] += u
+        n *= 2
+    return out
+
+
+def _range_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions lo[k], ..., lo[k] + counts[k] - 1 of every k, concatenated."""
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return np.arange(int(counts.sum())) + shift
+
+
+def _sorted_indices(units: np.ndarray, sums: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Sign index of each sorted position of `sums`, the sorted _half_sums of
+    `units`, as a stable argsort of the unsorted sums would give it.
+
+    A small meet-in-the-middle by value: every half index is a low index over
+    all but the last MITM_TAIL_UNITS units plus a tail index over those, so
+    each wanted value minus each tail sum is looked up among the sorted low
+    sums. The hits, ordered by (value, index), give position p of value v the
+    hit of rank first_hit(v) + p - first_pos(v).
+    """
+    k = max(len(units) - MITM_TAIL_UNITS, 0)
+    low = _half_sums(units[:k])
+    low_order = np.argsort(low)
+    low = low[low_order]
+    tail = _half_sums(units[k:])
+    vals = sums[positions]
+    wanted = np.sort(vals)  # deduplicated by hand: np.unique's first call takes ~20 ms
+    wanted = wanted[np.concatenate(([True], wanted[1:] != wanted[:-1]))]
+    need = (wanted[:, None] - tail[None, :]).ravel()
+    lo = np.searchsorted(low, need, side="left")
+    counts = np.searchsorted(low, need, side="right") - lo
+    hit_idx = low_order[_range_positions(lo, counts)] | np.repeat(
+        np.tile(np.arange(len(tail)) << k, len(wanted)), counts
+    )
+    hit_val = np.repeat(np.repeat(wanted, len(tail)), counts)
+    order = np.lexsort((hit_idx, hit_val))
+    hit_idx, hit_val = hit_idx[order], hit_val[order]
+    rank = np.searchsorted(hit_val, vals) + positions - np.searchsorted(sums, vals)
+    return hit_idx[rank]
 
 
 def _signs_from_index(index: int, count: int) -> list[int]:
@@ -313,13 +351,17 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
     Sorted-halves sweep (Horowitz and Sahni, 1974): each half's 2^m signed
-    sums are enumerated already sorted, the left half reversed gives
-    ascending queries tau - L, and one sorted-query search over the right
-    half finds every query's nearest neighbours. Rounding costs at most half
-    an ulp per reciprocal, so any pair whose true distance beats the
-    fixed-point winner sits within 2*(m+2) ulps of it; every such pair is
-    collected and compared exactly, and the lexicographic minimum of
-    (exact distance, left index, right index) wins.
+    sums are enumerated as values only and sorted in place. The reversed left
+    half gives ascending queries tau - L, swept in blocks of MITM_BLOCK: a
+    block is searched in its own slice of the right half, between the cuts of
+    its first query and of the next block's, and keeps only its minimum
+    distance. Rounding costs at most half an ulp per reciprocal, so any pair
+    whose true distance beats the fixed-point winner sits within 2*(m+2) ulps
+    of it; the blocks that hold such a query are swept again to collect them,
+    and each collected query's window of the right half is shortlisted. Only
+    the shortlisted sorted positions get their sign indices, from
+    _sorted_indices. Every shortlisted pair is compared exactly, and the
+    lexicographic minimum of (exact distance, left index, right index) wins.
     """
     bound = float(sum(Fraction(1, n) for n in free_ns)) + abs(float(tau)) + 1.0
     p_bits = 61 - max(0, math.ceil(math.log2(bound)))
@@ -327,31 +369,45 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
         raise ResourceBudgetError("free set too heavy for int64 fixed point")
     units = rounded_units(free_ns, p_bits)[0]
     tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
-    left, left_idx = _sorted_half_sums(units[0::2])
-    right, right_idx = _sorted_half_sums(units[1::2])
-    need = tau_fp - left[::-1]
-    left_idx = left_idx[::-1]
-    del left
-    pos = np.searchsorted(right, need)
-    dist = np.abs(right[np.minimum(pos, len(right) - 1)] - need)
-    pos -= 1
-    np.maximum(pos, 0, out=pos)
-    np.minimum(dist, np.abs(need - right[pos]), out=dist)
-    del pos
-    fp_best = int(dist.min())
+    units_l, units_r = units[0::2], units[1::2]
+    left, right = _half_sums(units_l), _half_sums(units_r)
+    left.sort()
+    right.sort()
+    queries = left[::-1]  # query i is tau - queries[i], ascending in i
+    starts = range(0, len(queries), MITM_BLOCK)
+    cuts = np.searchsorted(right, tau_fp - queries[::MITM_BLOCK]).tolist() + [len(right)]
+
+    def block(k: int) -> tuple[np.ndarray, np.ndarray]:
+        # The slice keeps right[cut - 1], the pos - 1 neighbour of the
+        # block's first query, and right[next cut], the pos neighbour of
+        # its last one.
+        need = tau_fp - queries[starts[k] : starts[k] + MITM_BLOCK]
+        near = right[max(cuts[k] - 1, 0) : cuts[k + 1] + 1]
+        pos = np.searchsorted(near, need)
+        dist = np.abs(near.take(pos, mode="clip") - need)
+        pos -= 1
+        np.minimum(dist, np.abs(need - near.take(pos, mode="clip")), out=dist)
+        return need, dist
+
+    block_min = [int(block(k)[1].min()) for k in range(len(starts))]
+    fp_best = min(block_min)
     thr = fp_best + 2 * (len(free_ns) + 2)
-    rows = np.flatnonzero(dist <= thr)
-    need = need[rows]
+    rows, needs = [], []
+    for k, least in enumerate(block_min):
+        if least <= thr:
+            need, dist = block(k)
+            hit = np.flatnonzero(dist <= thr)
+            rows.append(hit + starts[k])
+            needs.append(need[hit])
+    need = np.concatenate(needs)
     lo = np.searchsorted(right, need - thr, side="left")
-    hi = np.searchsorted(right, need + thr, side="right")
-    counts = hi - lo
+    counts = np.searchsorted(right, need + thr, side="right") - lo
     n_pairs = int(counts.sum())
     if n_pairs > SHORTLIST_CAP:
         raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
-    # pair p of row k lies at right position lo[k] + (p - first pair of row k)
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    pair_l = np.repeat(left_idx[rows], counts).tolist()
-    pair_r = right_idx[np.arange(n_pairs) + shift].tolist()
+    pos_l = np.repeat(len(left) - 1 - np.concatenate(rows), counts)
+    pair_l = _sorted_indices(units_l, left, pos_l).tolist()
+    pair_r = _sorted_indices(units_r, right, _range_positions(lo, counts)).tolist()
     _, t_scaled, weights = lcm_weights(free_ns, tau)
     weights = list(weights)
     wl, wr = weights[0::2], weights[1::2]

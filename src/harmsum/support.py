@@ -203,10 +203,15 @@ class SignSequence:
     @classmethod
     def from_rle(cls, ranges, rle) -> "SignSequence":
         sup = SupportSet.from_ranges(ranges)
-        signs = np.concatenate(
-            [np.full(count, sign, dtype=np.int8) for sign, count in rle]
-        ) if rle else np.empty(0, dtype=np.int8)
-        return cls(sup, signs)
+        runs = np.asarray(rle, dtype=np.int64).reshape(len(rle), 2)
+        signs, counts = runs[:, 0], runs[:, 1]
+        if (counts < 0).any():
+            raise ValueError("signs_rle holds a negative run length")
+        if (np.abs(signs) != 1).any():  # before the int8 cast wraps 257 to 1
+            raise ValueError("signs must be +1 or -1")
+        if counts.sum() != len(sup):  # checked before np.repeat allocates
+            raise ValueError("signs must cover the support exactly")
+        return cls(sup, np.repeat(signs.astype(np.int8), counts))
 
     def to_obj(self) -> dict:
         return {"support_ranges": self.support.to_ranges(), "signs_rle": self.signs_rle()}

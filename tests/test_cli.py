@@ -65,6 +65,29 @@ def test_bad_input_file_exits_usage_without_traceback(tmp_path, argv, content):
     _assert_usage_exit_without_traceback([a.format(path=path) for a in argv])
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"report": {"signs": {"signs_rle": [[1, 2]]}, "target_eta": "1"}},
+        {"report": [1]},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 2, 3]]},
+                    "target_eta": "1"}},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, -2], [1, 4]]},
+                    "target_eta": "1"}},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]},
+                    "target_eta": "1/0"}},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]},
+                    "target_eta": "1"}, "config": {"x0": [1]}},
+    ],
+    ids=["no-support-ranges", "report-not-object", "run-not-pair", "negative-run",
+         "target-zero-denominator", "x0-not-rational"],
+)
+def test_verify_malformed_report_exits_usage_without_traceback(tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    _assert_usage_exit_without_traceback(["verify", "--signs", str(path)])
+
+
 def test_threads_flag_is_only_recorded(tmp_path):
     args = ["construct", "--interval", "100..900", "--method", "mitm", "--max-free", "30",
             "--x0", "1/777"]

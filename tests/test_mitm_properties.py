@@ -1,15 +1,26 @@
-"""Property tests: the int64 sorted-halves MITM kernel against brute force."""
+"""Property tests: the int64 sorted-halves MITM kernel against brute force,
+at its own block and tail sizes and at tiny ones, its value-only half sums
+and the sign indices it recovers by value, and its memory."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmsum import constructor as ctor
+from harmsum.numerics import _round_nearest, rounded_units, signed_subset_sums
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+# (queries per sweep block, tail units of the index recovery): the kernel's
+# own sizes, then tiny ones, with which the <= 14-element sets below cross
+# many block boundaries and split every half for the index lookup.
+KERNEL_SIZES = [(ctor.MITM_BLOCK, ctor.MITM_TAIL_UNITS), (2, 1), (3, 0)]
 
 
 def _half_signs(ns: list[int], index: int) -> dict[int, int]:
@@ -35,11 +46,28 @@ def _brute_force(free_ns: list[int], tau: Fraction) -> tuple[int, dict[int, int]
     return dist, {**_half_signs(halves[0], li), **_half_signs(halves[1], ri)}
 
 
+def _fixed_point_pair_distances(free_ns: list[int], tau: Fraction, p_bits: int) -> np.ndarray:
+    """|L + R - tau| in fixed point at 2^-p_bits over all pairs of half sums."""
+    units = rounded_units(free_ns, p_bits)[0].tolist()
+    tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
+    left = np.asarray(signed_subset_sums(units[0::2]), dtype=np.int64)
+    right = np.asarray(signed_subset_sums(units[1::2]), dtype=np.int64)
+    return np.abs(left[:, None] + right[None, :] - tau_fp)
+
+
 def _assert_kernel_matches(free_ns: list[int], tau: Fraction) -> int:
-    signs, info = ctor._mitm_fixed_point(free_ns, tau)
+    """At every KERNEL_SIZES, the kernel's signs are the exact brute-force
+    optimum, its fp_best_ulps is the least fixed-point pair distance, and its
+    shortlist holds every pair within the 2*(m+2)-ulp margin of it."""
     dist, expected = _brute_force(free_ns, tau)
-    assert signs == expected
-    assert info["shortlist_pairs"] >= 1
+    for block, tail in KERNEL_SIZES:
+        with mock.patch.multiple(ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail):
+            signs, info = ctor._mitm_fixed_point(free_ns, tau)
+        assert signs == expected
+        fp = _fixed_point_pair_distances(free_ns, tau, info["scale_bits"])
+        assert info["fp_best_ulps"] == fp.min()
+        margin = 2 * (len(free_ns) + 2)
+        assert info["shortlist_pairs"] == np.count_nonzero(fp <= fp.min() + margin)
     return dist
 
 
@@ -94,11 +122,79 @@ def test_mitm_fixed_point_hits_reachable_target(data):
     assert _assert_kernel_matches(free_ns, tau) == 0
 
 
+# 1/(2a) = 1/(4a) + 1/(6a) + 1/(12a), with one filler between consecutive
+# group members, so the group falls into the left half (the even positions):
+# the left half then holds equal fixed-point sums at several sorted positions.
+@st.composite
+def left_tied_sets(draw):
+    a = draw(st.integers(1, 11))
+    group = [2 * a, 4 * a, 6 * a, 12 * a]
+    fillers = [draw(st.integers(lo + 1, hi - 1)) for lo, hi in zip(group, group[1:])]
+    extra = draw(st.lists(st.integers(12 * a + 1, 12 * a + 40), max_size=6, unique=True))
+    return sorted(group + fillers + extra)
+
+
 @PROPERTY_SETTINGS
-@given(st.lists(st.integers(1, 1 << 40), max_size=12))
-def test_sorted_half_sums_enumeration(units):
-    vals, idx = ctor._sorted_half_sums(np.asarray(units, dtype=np.int64))
-    assert (np.diff(vals) >= 0).all()
-    assert sorted(idx.tolist()) == list(range(1 << len(units)))
-    for v, i in zip(vals.tolist(), idx.tolist()):
-        assert v == sum(-u if (i >> j) & 1 else u for j, u in enumerate(units))
+@given(left_tied_sets(), st.data())
+def test_mitm_fixed_point_tied_half_sums(free_ns, data):
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(free_ns),
+                               max_size=len(free_ns)))
+    tau = data.draw(st.one_of(
+        st.just(sum((Fraction(s, n) for s, n in zip(signs, free_ns)), Fraction(0))),
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)),
+    ))
+    _, info = ctor._mitm_fixed_point(free_ns, tau)
+    left = ctor._half_sums(rounded_units(free_ns, info["scale_bits"])[0][0::2])
+    assert len(np.unique(left)) < len(left)
+    _assert_kernel_matches(free_ns, tau)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=12))
+def test_half_sums_match_signed_subset_sums(units):
+    sums = ctor._half_sums(np.asarray(units, dtype=np.int64))
+    assert sums.dtype == np.int64
+    assert sums.tolist() == signed_subset_sums(units)
+
+
+# Units drawn from a few small values (zeros and repeats included) make most
+# half sums tied, so positions sharing one value must take that value's
+# indices in ascending order, as a stable argsort places them.
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=10),
+        st.lists(st.integers(1, 1 << 40), max_size=10),
+    ),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_sorted_indices_match_stable_argsort(units, tail, data):
+    units = np.asarray(units, dtype=np.int64)
+    sums = ctor._half_sums(units)
+    expected = np.argsort(sums, kind="stable")
+    sums = np.sort(sums)
+    positions = np.asarray(
+        data.draw(st.lists(st.integers(0, len(sums) - 1), min_size=1, max_size=40)),
+        dtype=np.int64,
+    )
+    with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
+        got = ctor._sorted_indices(units, sums, positions)
+    assert got.tolist() == expected[positions].tolist()
+
+
+def test_kernel_memory_stays_near_two_halves():
+    """36 free elements give halves of 2^18 int64 sums (2 MiB each). The
+    kernel holds both halves and block-sized scratch, about 2.3 halves at
+    its peak; a kernel that carries sign-index arrays through the sort and
+    builds whole-half query, position and distance arrays peaks near 7."""
+    rng = random.Random(5)
+    free_ns = sorted(rng.sample(range(100, 3000), 36))
+    half_bytes = (1 << 18) * 8
+    tracemalloc.start()
+    try:
+        ctor._mitm_fixed_point(free_ns, Fraction(1, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * half_bytes + (1 << 20)

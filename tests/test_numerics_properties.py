@@ -3,6 +3,7 @@ helpers against Fraction references, the RLE round-trip and values_range."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -60,12 +61,37 @@ def test_bigfixed_containment(a, b, q):
     assert x.mul_fraction(q).contains(xv * q)
 
 
+def _random_runs(n: int, rng) -> list[int]:
+    """n signs in runs of random lengths, long runs included."""
+    signs: list[int] = []
+    while len(signs) < n:
+        signs += [rng.choice((-1, 1))] * rng.choice((1, 1, 2, 3, 7, 60))
+    return signs[:n]
+
+
+# long random sign vectors on [1, n]
+long_signed_supports = st.builds(
+    lambda n, rng: (list(range(1, n + 1)), _random_runs(n, rng)),
+    st.integers(0, 20000),
+    st.randoms(use_true_random=False),
+)
+
+
 @PROPERTY_SETTINGS
-@given(signed_supports())
+@given(st.one_of(signed_supports(), long_signed_supports))
 def test_rle_round_trip(case):
     ns, signs = case
     seq = SignSequence(SupportSet(ns), signs)
-    assert SignSequence.from_obj(seq.to_obj()) == seq
+    back = SignSequence.from_obj(seq.to_obj())
+    assert back == seq
+    assert back.signs.dtype == np.int8
+
+
+def test_from_rle_rejects_bad_runs():
+    assert len(SignSequence.from_rle([], [])) == 0
+    for rle in ([[1, -1], [1, 5]], [[2, 4]], [[1, 3]], [[1, 5]], [[1, 4, 0]], [[1, 2, 1, 2]]):
+        with pytest.raises(ValueError):
+            SignSequence.from_rle([[1, 4]], rle)
 
 
 @PROPERTY_SETTINGS
