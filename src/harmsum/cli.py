@@ -331,14 +331,12 @@ def _cmd_pipeline(args) -> int:
 
 
 def _is_int_pairs(obj) -> bool:
-    """Whether obj is a JSON list of [int, int] pairs."""
-    if not isinstance(obj, list) or not obj:
-        return obj == []
-    try:
-        arr = np.asarray(obj)
-    except ValueError:  # ragged nesting
-        return False
-    return arr.dtype.kind == "i" and arr.shape[1:] == (2,)
+    """Whether obj is a JSON list of [int, int] pairs. JSON true and false do
+    not count as ints, though Python's bool subclasses int."""
+    return isinstance(obj, list) and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+        for p in obj
+    )
 
 
 def _stored_fraction(value, name: str) -> Fraction:
@@ -399,8 +397,8 @@ def _cmd_oracle(args) -> int:
         print(f"oracle capped at {dens.EXHAUSTIVE_LIMIT} elements", file=sys.stderr)
         return EXIT_USAGE
     x0 = Fraction(args.x0)
-    # All elements free and below the exact threshold: the meet-in-the-middle
-    # search degenerates to an exact exhaustive optimum.
+    # All elements free: the meet-in-the-middle search returns the exact
+    # optimum over all 2^n sign vectors.
     rep = ctor.mitm_optimize(sup, x0, max_free=max(len(sup), 1))
     result = {
         "minimum": rep.achieved_exact,

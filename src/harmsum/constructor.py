@@ -4,7 +4,6 @@ dense-set pipelines that chain them together."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,12 +23,10 @@ from .numerics import (
     lcm_weights,
     rational_sum,
     rounded_units,
-    signed_subset_sums,
 )
 from .sieve import SieveTable
 from .support import SignSequence, SupportSet
 
-EXACT_MITM_LIMIT = 26  # half enumerations stay <= 2^13 exact big integers
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
 MITM_BLOCK = 1 << 14  # queries per block of the fixed-point MITM sweep
@@ -276,29 +273,43 @@ def _range_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + shift
 
 
-def _sorted_indices(units: np.ndarray, sums: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Sign index of each sorted position of `sums`, the sorted _half_sums of
-    `units`, as a stable argsort of the unsorted sums would give it.
+def _sorted_half(units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted _half_sums of `units`, low sums, tail sums).
 
-    A small meet-in-the-middle by value: every half index is a low index over
-    all but the last MITM_TAIL_UNITS units plus a tail index over those, so
-    each wanted value minus each tail sum is looked up among the sorted low
-    sums. The hits, ordered by (value, index), give position p of value v the
-    hit of rank first_hit(v) + p - first_pos(v).
+    The half is built from its parts: every half index is a low index over all
+    but the last MITM_TAIL_UNITS units plus a tail index over those, so
+    (tail[:, None] + low[None, :]).ravel() is _half_sums(units) entry for
+    entry. _sorted_indices looks sign indices up in the same parts.
     """
     k = max(len(units) - MITM_TAIL_UNITS, 0)
-    low = _half_sums(units[:k])
+    low, tail = _half_sums(units[:k]), _half_sums(units[k:])
+    sums = (tail[:, None] + low[None, :]).ravel()
+    sums.sort()
+    return sums, low, tail
+
+
+def _sorted_indices(
+    sums: np.ndarray, low: np.ndarray, tail: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """Sign index of each sorted position of `sums`, a half from _sorted_half
+    with its low and tail sums, as a stable argsort of the unsorted half
+    would give it.
+
+    A small meet-in-the-middle by value: each wanted value minus each tail sum
+    is looked up among the sorted low sums. The hits, ordered by (value,
+    index), give position p of value v the hit of rank first_hit(v) + p -
+    first_pos(v).
+    """
     low_order = np.argsort(low)
     low = low[low_order]
-    tail = _half_sums(units[k:])
     vals = sums[positions]
     wanted = np.sort(vals)  # deduplicated by hand: np.unique's first call takes ~20 ms
     wanted = wanted[np.concatenate(([True], wanted[1:] != wanted[:-1]))]
     need = (wanted[:, None] - tail[None, :]).ravel()
     lo = np.searchsorted(low, need, side="left")
     counts = np.searchsorted(low, need, side="right") - lo
-    hit_idx = low_order[_range_positions(lo, counts)] | np.repeat(
-        np.tile(np.arange(len(tail)) << k, len(wanted)), counts
+    hit_idx = low_order[_range_positions(lo, counts)] + np.repeat(
+        np.tile(np.arange(len(tail)) * len(low), len(wanted)), counts
     )
     hit_val = np.repeat(np.repeat(wanted, len(tail)), counts)
     order = np.lexsort((hit_idx, hit_val))
@@ -318,31 +329,6 @@ def _zip_halves(free_ns, signs_l, signs_r) -> dict[int, int]:
     return out
 
 
-def _mitm_exact(free_ns: list[int], tau: Fraction):
-    """Exact meet-in-the-middle: globally optimal signs for the free elements."""
-    _, t_scaled, weights = lcm_weights(free_ns, tau)
-    weights = list(weights)
-    left_ns, right_ns = free_ns[0::2], free_ns[1::2]
-    left = signed_subset_sums(weights[0::2])
-    right = signed_subset_sums(weights[1::2])
-    order = sorted(range(len(right)), key=lambda i: (right[i], i))
-    rvals = [right[i] for i in order]
-    best = None
-    for li, lv in enumerate(left):
-        need = t_scaled - lv
-        pos = bisect.bisect_left(rvals, need)
-        for jj in (pos - 1, pos):
-            if 0 <= jj < len(rvals):
-                key = (abs(lv + rvals[jj] - t_scaled), li, order[jj])
-                if best is None or key < best:
-                    best = key
-    _, li, ri = best
-    signs = _zip_halves(
-        free_ns, _signs_from_index(li, len(left_ns)), _signs_from_index(ri, len(right_ns))
-    )
-    return signs, {"mode": "exact", "half_sizes": [len(left), len(rvals)]}
-
-
 def _signed_sum(weights: list[int], index: int) -> int:
     return sum(-w if (index >> j) & 1 else w for j, w in enumerate(weights))
 
@@ -351,28 +337,27 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
     Sorted-halves sweep (Horowitz and Sahni, 1974): each half's 2^m signed
-    sums are enumerated as values only and sorted in place. The reversed left
-    half gives ascending queries tau - L, swept in blocks of MITM_BLOCK: a
-    block is searched in its own slice of the right half, between the cuts of
-    its first query and of the next block's, and keeps only its minimum
-    distance. Rounding costs at most half an ulp per reciprocal, so any pair
-    whose true distance beats the fixed-point winner sits within 2*(m+2) ulps
-    of it; the blocks that hold such a query are swept again to collect them,
-    and each collected query's window of the right half is shortlisted. Only
-    the shortlisted sorted positions get their sign indices, from
-    _sorted_indices. Every shortlisted pair is compared exactly, and the
-    lexicographic minimum of (exact distance, left index, right index) wins.
+    sums are built as values only, by _sorted_half, and sorted in place. The
+    reversed left half gives ascending queries tau - L, swept in blocks of
+    MITM_BLOCK: a block is searched in its own slice of the right half,
+    between the cuts of its first query and of the next block's, and keeps
+    only its minimum distance. Rounding costs at most half an ulp per
+    reciprocal, so any pair whose true distance beats the fixed-point winner
+    sits within 2*(m+2) ulps of it; the blocks that hold such a query are swept
+    again to collect them, and each collected query's window of the right half
+    is shortlisted. Only the shortlisted sorted positions get their sign
+    indices, from _sorted_indices. Every shortlisted pair is compared exactly,
+    and the lexicographic minimum of (exact distance, left index, right index)
+    wins.
     """
-    bound = float(sum(Fraction(1, n) for n in free_ns)) + abs(float(tau)) + 1.0
+    bound = float(rational_sum(free_ns, [1] * len(free_ns))) + abs(float(tau)) + 1.0
     p_bits = 61 - max(0, math.ceil(math.log2(bound)))
     if p_bits < 40:
         raise ResourceBudgetError("free set too heavy for int64 fixed point")
     units = rounded_units(free_ns, p_bits)[0]
     tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
-    units_l, units_r = units[0::2], units[1::2]
-    left, right = _half_sums(units_l), _half_sums(units_r)
-    left.sort()
-    right.sort()
+    left, *parts_l = _sorted_half(units[0::2])
+    right, *parts_r = _sorted_half(units[1::2])
     queries = left[::-1]  # query i is tau - queries[i], ascending in i
     starts = range(0, len(queries), MITM_BLOCK)
     cuts = np.searchsorted(right, tau_fp - queries[::MITM_BLOCK]).tolist() + [len(right)]
@@ -406,8 +391,8 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     if n_pairs > SHORTLIST_CAP:
         raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
     pos_l = np.repeat(len(left) - 1 - np.concatenate(rows), counts)
-    pair_l = _sorted_indices(units_l, left, pos_l).tolist()
-    pair_r = _sorted_indices(units_r, right, _range_positions(lo, counts)).tolist()
+    pair_l = _sorted_indices(left, *parts_l, pos_l).tolist()
+    pair_r = _sorted_indices(right, *parts_r, _range_positions(lo, counts)).tolist()
     _, t_scaled, weights = lcm_weights(free_ns, tau)
     weights = list(weights)
     wl, wr = weights[0::2], weights[1::2]
@@ -435,8 +420,8 @@ def mitm_optimize(
     """Minimize |sum a_n/n - x0| by meet-in-the-middle over free elements.
 
     Signs outside a spread subset of `max_free` elements are fixed greedily
-    toward the target; the free elements are optimized exactly (small sets,
-    globally optimal) or in int64 fixed point with an exact shortlist
+    toward the target; the free elements get the globally optimal signs of
+    _mitm_fixed_point, an int64 fixed-point sweep with an exact shortlist
     re-check. The achieved value is re-verified from the signs.
     """
     if not len(a):
@@ -458,10 +443,7 @@ def mitm_optimize(
     else:
         fixed_seq, fixed_sum = None, Fraction(0)
     tau = x0 - fixed_sum
-    if len(free_ns) <= EXACT_MITM_LIMIT:
-        free_signs, info = _mitm_exact(free_ns, tau)
-    else:
-        free_signs, info = _mitm_fixed_point(free_ns, tau)
+    free_signs, info = _mitm_fixed_point(free_ns, tau)
     free_seq = SignSequence.from_pairs(free_signs.items())
     seq = fixed_seq.merge(free_seq) if fixed_seq is not None else free_seq
     details = {

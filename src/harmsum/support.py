@@ -20,10 +20,11 @@ class SupportSet:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.array(values, dtype=np.int64)  # a copy, as np.unique makes
         if arr.ndim != 1:
             raise ValueError("support must be one-dimensional")
-        arr = np.unique(arr)
+        if not (arr[1:] > arr[:-1]).all():  # np.unique sorts even sorted input
+            arr = np.unique(arr)
         if arr.size and arr[0] < 1:
             raise ValueError("support elements must be >= 1")
         self.values = arr

@@ -78,9 +78,11 @@ def test_bad_input_file_exits_usage_without_traceback(tmp_path, argv, content):
                     "target_eta": "1/0"}},
         {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]},
                     "target_eta": "1"}, "config": {"x0": [1]}},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 1], [True, 1]]},
+                    "target_eta": "1"}},
     ],
     ids=["no-support-ranges", "report-not-object", "run-not-pair", "negative-run",
-         "target-zero-denominator", "x0-not-rational"],
+         "target-zero-denominator", "x0-not-rational", "bool-in-run"],
 )
 def test_verify_malformed_report_exits_usage_without_traceback(tmp_path, payload):
     path = tmp_path / "report.json"
@@ -345,7 +347,7 @@ FIXED_SEED_RECORDS = {
                "c87722b2ef85f5f73c552d96f3b1f0180771a46e28fe9e975f8ce2550d3ceba7"),
     "pipeline": (["pipeline", "--scales", "2000,16000", "--max-free", "30",
                   "--allow-nonpositive-delta"], 1,
-                 "082be78663256cc32c77f9414f908070be4823e4420ad5287b4d44be45d2b149"),
+                 "99fba6916ae0e2da9799e0f6b8709667d0a14043954ca3e70c3be469679fe654"),
 }
 
 

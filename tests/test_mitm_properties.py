@@ -1,6 +1,7 @@
 """Property tests: the int64 sorted-halves MITM kernel against brute force,
-at its own block and tail sizes and at tiny ones, its value-only half sums
-and the sign indices it recovers by value, and its memory."""
+at its own block and tail sizes and at tiny ones, its value-only half sums,
+the sign indices it recovers by value, its memory, and the signs of an
+all-free mitm_optimize."""
 
 import math
 import random
@@ -9,11 +10,12 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmsum import constructor as ctor
 from harmsum.numerics import _round_nearest, rounded_units, signed_subset_sums
+from harmsum.support import SupportSet
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -83,17 +85,27 @@ tie_heavy_sets = st.builds(
     st.lists(st.sampled_from(IDENTITY_GROUPS), min_size=1, max_size=4),
     st.lists(st.integers(1, 60), max_size=6),
 )
+small_taus = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60))
+)
 
 
 @PROPERTY_SETTINGS
-@given(
-    tie_heavy_sets,
-    st.one_of(
-        st.just(Fraction(0)), st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60))
-    ),
-)
+@given(tie_heavy_sets, small_taus)
 def test_mitm_fixed_point_matches_brute_force_tie_heavy(free_ns, tau):
     _assert_kernel_matches(free_ns, tau)
+
+
+# mitm_optimize runs the kernel for every free count, so an all-free search
+# takes the brute-force signs, ties included. The pinned set has sign vectors
+# of equal exact distance at x0 = -6/11 that a nearest-neighbour scan of each
+# left sum alone can break differently from the lexicographic minimum.
+@PROPERTY_SETTINGS
+@given(tie_heavy_sets, small_taus)
+@example([1, 2, 3, 4, 6, 8, 10, 12, 20, 24, 28, 30, 38, 51], Fraction(-6, 11))
+def test_mitm_optimize_all_free_takes_brute_force_signs(ns, tau):
+    rep = ctor.mitm_optimize(SupportSet(ns), tau, max_free=len(ns))
+    assert dict(rep.signs.items()) == _brute_force(ns, tau)[1]
 
 
 # Reciprocals near 1e-6 differ from each other in the last ~20 bits of the
@@ -171,15 +183,16 @@ def test_half_sums_match_signed_subset_sums(units):
 )
 def test_sorted_indices_match_stable_argsort(units, tail, data):
     units = np.asarray(units, dtype=np.int64)
-    sums = ctor._half_sums(units)
-    expected = np.argsort(sums, kind="stable")
-    sums = np.sort(sums)
+    unsorted = ctor._half_sums(units)
+    expected = np.argsort(unsorted, kind="stable")
+    with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
+        sums, low, tail_sums = ctor._sorted_half(units)
+    assert sums.tolist() == np.sort(unsorted).tolist()
     positions = np.asarray(
         data.draw(st.lists(st.integers(0, len(sums) - 1), min_size=1, max_size=40)),
         dtype=np.int64,
     )
-    with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
-        got = ctor._sorted_indices(units, sums, positions)
+    got = ctor._sorted_indices(sums, low, tail_sums, positions)
     assert got.tolist() == expected[positions].tolist()
 
 

@@ -31,6 +31,20 @@ def test_spec_parsing(tmp_path):
         SupportSet.from_spec("mod 3: 1")  # residue sets need a limit
 
 
+def test_unsorted_input_with_duplicates_is_sorted_and_unique():
+    s = SupportSet(np.array([9, 2, 5, 2, 9, 1], dtype=np.int64))
+    assert s.values.tolist() == [1, 2, 5, 9]
+    assert SupportSet([3, 3]).values.tolist() == [3]
+    sorted_in = np.arange(1, 6, dtype=np.int64)
+    s = SupportSet(sorted_in)
+    sorted_in[0] = 7  # the support holds its own copy
+    assert s.values.tolist() == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError):
+        SupportSet([[1, 2]])
+    with pytest.raises(ValueError):
+        SupportSet([3, 0, 1])
+
+
 def test_restrict_difference_ranges():
     s = SupportSet.interval(1, 10)
     assert s.restrict(4, 6) == SupportSet([4, 5, 6])
