@@ -362,7 +362,10 @@ def _cmd_verify(args) -> int:
     for key in ("support_ranges", "signs_rle"):
         if not isinstance(signs_obj, dict) or not _is_int_pairs(signs_obj.get(key)):
             raise _UsageError(f"the report's signs need {key} as a list of [int, int] pairs")
-    seq = SignSequence.from_obj(signs_obj)
+    try:
+        seq = SignSequence.from_obj(signs_obj)
+    except OverflowError:  # numpy's int64 conversion of a larger JSON int
+        raise _UsageError("the report's signs hold an integer outside int64") from None
     target = args.eta
     if target is None and report.get("target_eta"):
         target = _stored_fraction(report["target_eta"], "target_eta")

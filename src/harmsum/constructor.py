@@ -333,6 +333,15 @@ def _signed_sum(weights: list[int], index: int) -> int:
     return sum(-w if (index >> j) & 1 else w for j, w in enumerate(weights))
 
 
+def _headroom_bits(heavy: Fraction, target: Fraction) -> int:
+    """Fraction bits of the int64 sweep for free reciprocals summing to heavy
+    and a target: 2^(61 - bits) covers heavy + |target| + 1. A target of
+    2^21 or more gives fewer than 40 bits, and is capped there before the
+    float conversion."""
+    bound = float(heavy) + float(min(abs(target), 2**21)) + 1.0
+    return 61 - max(0, math.ceil(math.log2(bound)))
+
+
 def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
@@ -350,12 +359,16 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     and the lexicographic minimum of (exact distance, left index, right index)
     wins.
     """
-    bound = float(rational_sum(free_ns, [1] * len(free_ns))) + abs(float(tau)) + 1.0
-    p_bits = 61 - max(0, math.ceil(math.log2(bound)))
-    if p_bits < 40:
-        raise ResourceBudgetError("free set too heavy for int64 fixed point")
+    heavy = rational_sum(free_ns, [1] * len(free_ns))
+    near_tau = tau
+    if _headroom_bits(heavy, tau) < 40:
+        # Every signed sum lies in [-heavy, heavy], so tau clamped to
+        # +-(heavy + 1) ranks the pairs as tau does; heavy < 5 for up to 52
+        # distinct free elements, so it fits. The exact re-check uses tau.
+        near_tau = max(-heavy - 1, min(tau, heavy + 1))
+    p_bits = _headroom_bits(heavy, near_tau)
     units = rounded_units(free_ns, p_bits)[0]
-    tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
+    tau_fp = _round_nearest(near_tau.numerator << p_bits, near_tau.denominator)[0]
     left, *parts_l = _sorted_half(units[0::2])
     right, *parts_r = _sorted_half(units[1::2])
     queries = left[::-1]  # query i is tau - queries[i], ascending in i

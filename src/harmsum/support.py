@@ -210,7 +210,9 @@ class SignSequence:
             raise ValueError("signs_rle holds a negative run length")
         if (np.abs(signs) != 1).any():  # before the int8 cast wraps 257 to 1
             raise ValueError("signs must be +1 or -1")
-        if counts.sum() != len(sup):  # checked before np.repeat allocates
+        # Summed as Python ints, which do not wrap as int64 would; checked
+        # before np.repeat allocates.
+        if sum(counts.tolist()) != len(sup):
             raise ValueError("signs must cover the support exactly")
         return cls(sup, np.repeat(signs.astype(np.int8), counts))
 

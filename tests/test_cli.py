@@ -80,9 +80,18 @@ def test_bad_input_file_exits_usage_without_traceback(tmp_path, argv, content):
                     "target_eta": "1"}, "config": {"x0": [1]}},
         {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 1], [True, 1]]},
                     "target_eta": "1"}},
+        {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, 2**64]]},
+                    "target_eta": "1"}},
+        {"report": {"signs": {"support_ranges": [[2**63, 2**63]],
+                              "signs_rle": [[1, 1]]}, "target_eta": "1"}},
+        # run lengths whose int64 sum wraps round to the support's size, 2
+        {"report": {"signs": {"support_ranges": [[1, 2]],
+                              "signs_rle": [[1, 2**62]] * 3 + [[1, 2**62 + 2]]},
+                    "target_eta": "1"}},
     ],
     ids=["no-support-ranges", "report-not-object", "run-not-pair", "negative-run",
-         "target-zero-denominator", "x0-not-rational", "bool-in-run"],
+         "target-zero-denominator", "x0-not-rational", "bool-in-run", "int-overflow-run",
+         "int-overflow-range", "run-sum-wraps"],
 )
 def test_verify_malformed_report_exits_usage_without_traceback(tmp_path, payload):
     path = tmp_path / "report.json"
@@ -126,6 +135,15 @@ def test_oracle_small(tmp_path, capsys):
     assert payload["report"]["enumerated"] == 1 << 16
     # frozen from an independent full enumeration over all 2^16 sign vectors
     assert payload["report"]["minimum"] == "25/144144"
+
+
+def test_oracle_far_target(tmp_path):
+    # x0 lies far above 1 + 1/2 + ... + 1/5, so all signs are +1; the int64
+    # sweep ranks the pairs against a target clamped near that sum
+    out = tmp_path / "oracle.json"
+    code = cli.run(["oracle", "--set", "1..5", "--x0", "3000000", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["report"]["minimum"] == "179999863/60"
 
 
 def test_construct_deterministic(tmp_path):

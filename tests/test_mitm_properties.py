@@ -108,6 +108,26 @@ def test_mitm_optimize_all_free_takes_brute_force_signs(ns, tau):
     assert dict(rep.signs.items()) == _brute_force(ns, tau)[1]
 
 
+# Targets past the int64 headroom, |tau| >= 2^21, far outside [-H, H], H the
+# sum of the reciprocals: the kernel sweeps against tau clamped to +-(H + 1),
+# which ranks the pairs as tau does, and still returns the brute-force signs.
+@PROPERTY_SETTINGS
+@given(
+    tie_heavy_sets,
+    st.builds(Fraction, st.integers(2**27, 10**30), st.integers(1, 60)),  # >= 2^21
+    st.sampled_from([1, -1]),
+)
+@example([1, 2, 3, 4, 5], Fraction(3 * 10**6), 1)
+def test_mitm_fixed_point_matches_brute_force_far_target(free_ns, tau, sign):
+    tau *= sign
+    reach = sum(Fraction(1, n) for n in free_ns) + 1
+    near = max(-reach, min(tau, reach))
+    _assert_kernel_matches(free_ns, near)
+    signs, info = ctor._mitm_fixed_point(free_ns, tau)
+    assert (signs, info) == ctor._mitm_fixed_point(free_ns, near)
+    assert signs == _brute_force(free_ns, tau)[1]
+
+
 # Reciprocals near 1e-6 differ from each other in the last ~20 bits of the
 # int64 scale, so fixed-point near-ties are dense and the margin does the work.
 @PROPERTY_SETTINGS
