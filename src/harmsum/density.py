@@ -343,30 +343,21 @@ def mc_probability(
     eta: float,
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of P(|X_A - x0| <= eta) with its standard error.
 
-    Reproducible under the seed; when split across `workers` substreams,
-    worker i draws from default_rng(seed ^ i) and the totals are merged, so
-    the result depends on the worker count but not on scheduling.
+    Reproducible under the seed: every sample comes from default_rng(seed).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     inv = 1.0 / a.values.astype(np.float64)
-    per = [samples // workers + (1 if i < samples % workers else 0) for i in range(workers)]
+    rng = np.random.default_rng(seed)
     hits = 0
-    for i, m in enumerate(per):
-        if m == 0:
-            continue
-        rng = np.random.default_rng(seed ^ i)
-        done = 0
-        while done < m:
-            chunk = min(m - done, 1 << 16)
-            signs = rng.integers(0, 2, size=(chunk, len(inv))).astype(np.float64) * 2.0 - 1.0
-            x = signs @ inv
-            hits += int(np.count_nonzero(np.abs(x - x0) <= eta))
-            done += chunk
+    for done in range(0, samples, 1 << 16):
+        chunk = min(samples - done, 1 << 16)
+        signs = rng.integers(0, 2, size=(chunk, len(inv))).astype(np.float64) * 2.0 - 1.0
+        x = signs @ inv
+        hits += int(np.count_nonzero(np.abs(x - x0) <= eta))
     p = hits / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return p, stderr

@@ -34,25 +34,12 @@ from .sieve import SieveTable
 from .support import SignSequence, SupportSet
 
 
-def _rule_liouville(p: int) -> int:
-    return -1
-
-
-def _rule_one(p: int) -> int:
-    return 1
-
-
-def _rule_chi3_star(p: int) -> int:
-    # Quadratic character mod 3 at primes, with the gap at p = 3 filled by -1.
-    if p == 3:
-        return -1
-    return 1 if p % 3 == 1 else -1
-
-
+# Each seed rule maps an array of primes to their signs.
 SEED_RULES = {
-    "liouville": _rule_liouville,
-    "one": _rule_one,
-    "chi3_star": _rule_chi3_star,
+    "liouville": lambda p: np.full_like(p, -1),
+    "one": np.ones_like,
+    # Quadratic character mod 3 at primes, with the gap at p = 3 filled by -1.
+    "chi3_star": lambda p: np.where(p % 3 == 1, 1, -1),
 }
 
 
@@ -71,15 +58,19 @@ class MultiplicativeFn:
         self.sieve = sieve
         self.default_rule = default_rule
         self.limit = sieve.limit
-        self._rule = SEED_RULES[default_rule]
-        self.overrides: dict[int, int] = {}
-        for p, s in (overrides or {}).items():
-            p = int(p)
-            if p > sieve.limit or sieve.spf_of(p) != p:
-                raise ValueError(f"override at non-prime {p}")
-            if s not in (-1, 1):
-                raise ValueError("override values must be +1 or -1")
-            self.overrides[p] = int(s)
+        overrides = overrides or {}
+        if not set(overrides.values()) <= {-1, 1}:
+            raise ValueError("override values must be +1 or -1")
+        self.overrides: dict[int, int] = {int(p): int(s) for p, s in overrides.items()}
+        ps = sorted(self.overrides)
+        # The ends are range-checked as Python ints before any key indexes spf.
+        if ps and not (2 <= ps[0] and ps[-1] <= self.limit and (sieve.spf[ps] == ps).all()):
+            bad = next(p for p in ps if not (2 <= p <= self.limit and sieve.spf[p] == p))
+            raise ValueError(f"override at non-prime {bad}")
+        # f at every prime (1 at every other index): the rule, then the overrides.
+        self._sign = np.ones(self.limit + 1, dtype=np.int8)
+        self._sign[sieve.primes] = SEED_RULES[default_rule](sieve.primes)
+        self._sign[ps] = [self.overrides[p] for p in ps]
         self._values: np.ndarray | None = None
         self._cumsum: np.ndarray | None = None
 
@@ -89,9 +80,7 @@ class MultiplicativeFn:
         return MultiplicativeFn(self.sieve, self.default_rule, merged)
 
     def sign_at_prime(self, p: int) -> int:
-        if p in self.overrides:
-            return self.overrides[p]
-        return self._rule(p)
+        return int(self._sign[p])
 
     def evaluate(self, n: int) -> int:
         """f(n) via the prime factorization (f(1) = 1)."""
@@ -103,34 +92,14 @@ class MultiplicativeFn:
                 out = -out
         return out
 
-    def _negative_primes(self) -> np.ndarray:
-        ps = self.sieve.primes
-        if self.default_rule == "liouville":
-            mask = np.ones(len(ps), dtype=bool)
-        elif self.default_rule == "one":
-            mask = np.zeros(len(ps), dtype=bool)
-        else:  # chi3_star
-            mask = (ps == 3) | (ps % 3 == 2)
-        for p, s in self.overrides.items():
-            i = int(np.searchsorted(ps, p))
-            mask[i] = s < 0
-        return ps[mask]
-
     def values_range(self) -> np.ndarray:
-        """f(n) for 0..limit as an int8 array (index 0 unused, set to 0)."""
-        if self._values is not None:
-            return self._values
-        n = self.limit
-        acc = np.zeros(n + 1, dtype=np.int8)
-        for p in self._negative_primes():
-            q = int(p)
-            while q <= n:
-                acc[q::q] += 1
-                q *= int(p)
-        vals = (1 - 2 * (acc & 1)).astype(np.int8)
-        vals[0] = 0
-        self._values = vals
-        return vals
+        """f(n) for 0..limit as an int8 array (index 0 unused, set to 0), by
+        f(n) = f(p) f(n/p) with p the smallest prime factor of n."""
+        if self._values is None:
+            self._values = self.sieve._by_smallest_prime(
+                1, lambda t, p, m: self._sign[p] * t[m], np.int8
+            )
+        return self._values
 
     def _partial_sums(self) -> np.ndarray:
         if self._cumsum is None:

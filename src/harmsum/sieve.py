@@ -92,25 +92,36 @@ class SieveTable:
     def liouville(self, n: int) -> int:
         return -1 if self.big_omega(n) & 1 else 1
 
+    def _by_smallest_prime(self, first, step, dtype) -> np.ndarray:
+        """Table t over 0..limit with t[0] = 0, t[1] = first and, for n >= 2,
+        t[n] = step(t, p, m) with p = spf(n) and m = n // p (the linear-sieve
+        recurrence of Gries and Misra, 1978).
+
+        Filled in blocks [lo, hi) with hi <= 2 lo: every m <= n/2 lies below
+        lo, so a block reads only finished entries. Blocks hold at most 2^20
+        entries, which bounds the int64 temporaries at large limits.
+        """
+        t = np.zeros(self.limit + 1, dtype=dtype)
+        t[1] = first
+        lo = 2
+        while lo <= self.limit:
+            hi = min(2 * lo, lo + (1 << 20), self.limit + 1)
+            p = self.spf[lo:hi]
+            t[lo:hi] = step(t, p, np.arange(lo, hi) // p)
+            lo = hi
+        return t
+
     def omega_table(self, with_multiplicity: bool = True) -> np.ndarray:
         """Table of Omega(n) (or omega(n)) for 0..limit; Omega(0)=Omega(1)=0."""
-        cached = self._omega_mult if with_multiplicity else self._omega_distinct
-        if cached is not None:
-            return cached
-        table = np.zeros(self.limit + 1, dtype=np.int8)
-        for p in self.primes:
-            p = int(p)
-            q = p
-            while q <= self.limit:
-                table[q::q] += 1
-                if not with_multiplicity:
-                    break
-                q *= p
         if with_multiplicity:
-            self._omega_mult = table
-        else:
-            self._omega_distinct = table
-        return table
+            if self._omega_mult is None:
+                self._omega_mult = self._by_smallest_prime(0, lambda t, p, m: t[m] + 1, np.int8)
+            return self._omega_mult
+        if self._omega_distinct is None:
+            self._omega_distinct = self._by_smallest_prime(
+                0, lambda t, p, m: t[m] + (self.spf[m] != p), np.int8
+            )
+        return self._omega_distinct
 
     def liouville_table(self) -> np.ndarray:
         om = self.omega_table(with_multiplicity=True)
@@ -118,15 +129,11 @@ class SieveTable:
 
     def lpf_table(self) -> np.ndarray:
         """Largest prime factor for 0..limit (lpf(1) = 1)."""
-        if self._lpf is not None:
-            return self._lpf
-        lpf = np.zeros(self.limit + 1, dtype=np.int64)
-        lpf[1] = 1
-        for p in self.primes:
-            p = int(p)
-            lpf[p::p] = p  # ascending primes: last write is the largest factor
-        self._lpf = lpf
-        return lpf
+        if self._lpf is None:
+            self._lpf = self._by_smallest_prime(
+                1, lambda t, p, m: np.where(m > 1, t[m], p), np.int64
+            )
+        return self._lpf
 
     def primes_in(self, a: int, b: int) -> SupportSet:
         """Primes p with a < p <= b."""
@@ -148,21 +155,10 @@ class SieveTable:
 
     def rough_smooth_split(self, n: int, y: int) -> RoughSmoothSplit:
         """Split n into its y-rough and y-smooth parts."""
-        self._check(n)
         if y < 1:
             raise ValueError("threshold y must be >= 1")
-        rough, smooth = 1, 1
-        m = n
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if p > y:
-                rough *= p**e
-            else:
-                smooth *= p**e
+        rough = math.prod(p**e for p, e in self.factorize(n) if p > y)
+        smooth = n // rough
         return RoughSmoothSplit(n=n, y=y, rough=rough, smooth=smooth)
 
     def rough_part_set(self, a: SupportSet, eps1: float, n_scale: int) -> SupportSet:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import lcm_weights, rational_sum
+from .numerics import DEFAULT_LCM_BIT_BUDGET, ResourceBudgetError, lcm_weights, rational_sum
 
 
 class SupportSet:
@@ -107,6 +107,13 @@ class SupportSet:
 
     @classmethod
     def from_ranges(cls, ranges) -> "SupportSet":
+        # Sized as Python ints before anything is allocated. rational_sum
+        # rejects a support this large anyway: each n costs at least one bit.
+        size = sum(max(hi - lo + 1, 0) for lo, hi in ranges)
+        if size > DEFAULT_LCM_BIT_BUDGET:
+            raise ResourceBudgetError(
+                f"support of {size} integers exceeds the {DEFAULT_LCM_BIT_BUDGET}-bit lcm budget"
+            )
         parts = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
         if not parts:
             return cls(np.empty(0, dtype=np.int64))

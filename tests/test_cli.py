@@ -44,6 +44,7 @@ def test_limit_errors_exit_usage_without_traceback():
     for argv in (
         ["construct", "--interval", "1..200", "--method", "mitm", "--max-free", "60"],
         ["sieve", "--limit", "100", "--psi", "1000:3"],
+        ["pipeline", "--scales", "400,3200", "--allow-nonpositive-delta", "--override", "1:-1"],
     ):
         _assert_usage_exit_without_traceback(argv)
 
@@ -88,10 +89,12 @@ def test_bad_input_file_exits_usage_without_traceback(tmp_path, argv, content):
         {"report": {"signs": {"support_ranges": [[1, 2]],
                               "signs_rle": [[1, 2**62]] * 3 + [[1, 2**62 + 2]]},
                     "target_eta": "1"}},
+        {"report": {"signs": {"support_ranges": [[1, 2**40]], "signs_rle": [[1, 2**40]]},
+                    "target_eta": "1"}},
     ],
     ids=["no-support-ranges", "report-not-object", "run-not-pair", "negative-run",
          "target-zero-denominator", "x0-not-rational", "bool-in-run", "int-overflow-run",
-         "int-overflow-range", "run-sum-wraps"],
+         "int-overflow-range", "run-sum-wraps", "huge-range"],
 )
 def test_verify_malformed_report_exits_usage_without_traceback(tmp_path, payload):
     path = tmp_path / "report.json"

@@ -35,6 +35,32 @@ def test_override_rejected_at_composite():
         mult.MultiplicativeFn(table, "liouville", {6: 1})
     with pytest.raises(ValueError):
         mult.MultiplicativeFn(table, "liouville", {5: 2})
+    for bad in ({1: -1}, {0: 1}, {101: 1}, {-7: 1}, {2**70: 1}):
+        with pytest.raises(ValueError, match="override at non-prime"):
+            mult.MultiplicativeFn(table, "one", bad)
+
+
+@pytest.mark.parametrize(
+    "rule, signs",
+    [
+        ("liouville", [-1, -1, -1, -1, -1, -1]),
+        ("one", [1, 1, 1, 1, 1, 1]),
+        ("chi3_star", [-1, -1, -1, 1, -1, 1]),
+    ],
+)
+def test_seed_rule_signs_at_small_primes(rule, signs):
+    # evaluate and values_range both read the rule, so pin it independently
+    fn = mult.MultiplicativeFn(SieveTable(100), rule)
+    assert [fn.sign_at_prime(p) for p in (2, 3, 5, 7, 11, 13)] == signs
+
+
+def test_values_range_matches_evaluate_with_overrides(sieve_small):
+    for rule in sorted(mult.SEED_RULES):
+        fn = mult.MultiplicativeFn(sieve_small, rule, {2: 1, 3: 1, 7: -1, 19_997: -1})
+        vals = fn.values_range()
+        assert vals[0] == 0
+        for n in list(range(1, 2000)) + list(range(19_000, 20_001)):
+            assert vals[n] == fn.evaluate(n)
 
 
 def test_complete_multiplicativity_random(sieve_small):

@@ -44,6 +44,34 @@ def test_liouville_multiplicative_through_table(sieve_small):
         assert lam[n] == lam[p] * lam[n // p]
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 1023, 1024, 1025, 20_000])
+def test_tables_match_factorization(limit):
+    # first block, exact powers of two and a partial last block
+    table = SieveTable(limit)
+    big, small = table.omega_table(True), table.omega_table(False)
+    lpf, lam = table.lpf_table(), table.liouville_table()
+    for n in range(1, limit + 1):
+        assert big[n] == table.big_omega(n)
+        assert small[n] == table.small_omega(n)
+        assert lpf[n] == max((p for p, _ in table.factorize(n)), default=1)
+        assert lam[n] == table.liouville(n)
+
+
+def test_tables_match_factorization_past_block_cap():
+    # blocks hold at most 2^20 entries, so [2^21, 2^21 + 5] lies in a capped block
+    limit = 2**21 + 5
+    table = SieveTable(limit)
+    big, small = table.omega_table(True), table.omega_table(False)
+    lpf, lam = table.lpf_table(), table.liouville_table()
+    rng = np.random.default_rng(7)
+    edges = [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**19, 2**21 - 1, 2**21, limit]
+    for n in edges + [int(n) for n in rng.integers(2**20, limit + 1, size=2000)]:
+        assert big[n] == table.big_omega(n)
+        assert small[n] == table.small_omega(n)
+        assert lpf[n] == max(p for p, _ in table.factorize(n))
+        assert lam[n] == table.liouville(n)
+
+
 def test_primes_in(sieve_small):
     assert list(sieve_small.primes_in(10, 20)) == [11, 13, 17, 19]
     assert len(sieve_small.primes_in(13, 13)) == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from harmsum.numerics import DEFAULT_LCM_BIT_BUDGET, ResourceBudgetError
 from harmsum.support import SignSequence, SupportSet
 
 
@@ -52,6 +53,14 @@ def test_restrict_difference_ranges():
     assert list(d) == [1, 4, 5, 6, 8, 9, 10]
     assert d.to_ranges() == [[1, 1], [4, 6], [8, 10]]
     assert SupportSet.from_ranges(d.to_ranges()) == d
+
+
+def test_from_ranges_sized_before_allocation():
+    assert len(SupportSet.from_ranges([[5, 4], [1, 3]])) == 3
+    # one range past the lcm budget, and two that pass it only together
+    for ranges in ([[1, 2**40]], [[1, DEFAULT_LCM_BIT_BUDGET // 2 + 1]] * 2):
+        with pytest.raises(ResourceBudgetError):
+            SupportSet.from_ranges(ranges)
 
 
 def test_reciprocal_sum_and_lcm():
