@@ -358,6 +358,11 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     indices, from _sorted_indices. Every shortlisted pair is compared exactly,
     and the lexicographic minimum of (exact distance, left index, right index)
     wins.
+
+    A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
+    sign to sign(tau). Such a call returns the sweep's result without building
+    the halves, unless some unit is small enough that the sweep would
+    shortlist other pairs too.
     """
     heavy = rational_sum(free_ns, [1] * len(free_ns))
     near_tau = tau
@@ -369,6 +374,24 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     p_bits = _headroom_bits(heavy, near_tau)
     units = rounded_units(free_ns, p_bits)[0]
     tau_fp = _round_nearest(near_tau.numerator << p_bits, near_tau.denominator)[0]
+    if abs(tau) >= heavy:
+        # Forced signs: every signed sum lies in [-heavy, heavy], and only all
+        # signs s = sign(tau) reach s*heavy, so they are the unique exact
+        # optimum. In fixed point every other pair lies at least
+        # 2*units.min() - over ulps from tau_fp, `over` being the all-s
+        # pair's overshoot past tau_fp; when that clears the shortlist margin,
+        # the sweep would shortlist this one pair, so it is not run.
+        s = 1 if tau > 0 else -1
+        total = s * int(units.sum())
+        over = max(0, s * (total - tau_fp))
+        if int(units.min()) > over + len(free_ns) + 2:
+            info = {
+                "mode": "fixed_point",
+                "scale_bits": p_bits,
+                "shortlist_pairs": 1,
+                "fp_best_ulps": abs(tau_fp - total),
+            }
+            return dict.fromkeys(free_ns[0::2] + free_ns[1::2], s), info
     left, *parts_l = _sorted_half(units[0::2])
     right, *parts_r = _sorted_half(units[1::2])
     queries = left[::-1]  # query i is tau - queries[i], ascending in i
@@ -557,19 +580,19 @@ def rough_basis_subset(
     target = min(n_scale ** (1.0 - eps0), float(len(a)))
     eps1 = 0.5
     while eps1 >= eps1_floor:
-        y = int(n_scale**eps1)
-        pairs: dict[int, int] = {}
-        for x in a.values:
-            split = sieve.rough_smooth_split(int(x), y)
-            cur = pairs.get(split.rough)
-            if cur is None or split.smooth < cur:
-                pairs[split.rough] = split.smooth
-        if len(pairs) >= target:
-            k = max((sieve.big_omega(r) for r in pairs if r > 1), default=1)
+        rough = sieve.rough_parts(a.values, int(n_scale**eps1))
+        roots, first = np.unique(rough, return_index=True)
+        if len(roots) >= target:
+            # A is ascending, so the first element with a given rough part
+            # has the least smooth part.
+            first.sort()
+            b = a.values[first]
+            pairs = dict(zip(rough[first].tolist(), (b // rough[first]).tolist()))
+            k = max((sieve.big_omega(r) for r in roots.tolist() if r > 1), default=1)
             note = "" if target == n_scale ** (1.0 - eps0) else "target capped at |A|"
             return RoughBasis(
-                b=SupportSet(sorted(r * s for r, s in pairs.items())),
-                r=SupportSet(sorted(pairs)),
+                b=SupportSet(b),
+                r=SupportSet(roots),
                 smooth_of=pairs,
                 eps1=eps1,
                 k=max(k, 1),

@@ -11,7 +11,8 @@ import numpy as np
 from .numerics import BigFixed, ResourceBudgetError, unit_sum
 from .support import SupportSet
 
-# Hard cap on sieve size; beyond this the spf table alone is >0.8 GB.
+# Hard cap on sieve size, so that every n fits int32: at the cap the int32
+# spf table alone takes 0.8 GB.
 MAX_SIEVE_LIMIT = 200_000_000
 
 
@@ -41,26 +42,26 @@ class SieveTable:
         if limit > MAX_SIEVE_LIMIT:
             raise ResourceBudgetError(f"sieve limit {limit} exceeds budget")
         self.limit = int(limit)
-        self.spf = self._build(self.limit)
-        idx = np.arange(self.limit + 1, dtype=np.int64)
-        self.primes = idx[(idx >= 2) & (self.spf == idx)]
+        self.spf, self.primes = self._build(self.limit)
         self._omega_mult: np.ndarray | None = None
         self._omega_distinct: np.ndarray | None = None
         self._lpf: np.ndarray | None = None
 
     @staticmethod
-    def _build(limit: int) -> np.ndarray:
-        spf = np.zeros(limit + 1, dtype=np.int64)
+    def _build(limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """(int32 spf over 0..limit, int64 primes up to limit)."""
+        spf = np.zeros(limit + 1, dtype=np.int32)
         spf[1] = 1
+        small = []
         for p in range(2, math.isqrt(limit) + 1):
             if spf[p] == 0:
+                small.append(p)
                 spf[p] = p
                 seg = spf[p * p :: p]
                 seg[seg == 0] = p
-        rest = np.nonzero(spf == 0)[0]
-        rest = rest[rest >= 2]
+        rest = np.flatnonzero(spf[2:] == 0) + 2  # the primes past sqrt(limit)
         spf[rest] = rest
-        return spf
+        return spf, np.concatenate((np.asarray(small, dtype=np.int64), rest))
 
     def _check(self, n: int):
         if n < 1 or n > self.limit:
@@ -92,20 +93,21 @@ class SieveTable:
     def liouville(self, n: int) -> int:
         return -1 if self.big_omega(n) & 1 else 1
 
-    def _by_smallest_prime(self, first, step, dtype) -> np.ndarray:
-        """Table t over 0..limit with t[0] = 0, t[1] = first and, for n >= 2,
-        t[n] = step(t, p, m) with p = spf(n) and m = n // p (the linear-sieve
-        recurrence of Gries and Misra, 1978).
+    def _by_smallest_prime(self, first, step, dtype, top: int | None = None) -> np.ndarray:
+        """Table t over 0..top (default limit) with t[0] = 0, t[1] = first
+        and, for n >= 2, t[n] = step(t, p, m) with p = spf(n) and m = n // p
+        (the linear-sieve recurrence of Gries and Misra, 1978).
 
         Filled in blocks [lo, hi) with hi <= 2 lo: every m <= n/2 lies below
         lo, so a block reads only finished entries. Blocks hold at most 2^20
         entries, which bounds the int64 temporaries at large limits.
         """
-        t = np.zeros(self.limit + 1, dtype=dtype)
+        top = self.limit if top is None else top
+        t = np.zeros(top + 1, dtype=dtype)
         t[1] = first
         lo = 2
-        while lo <= self.limit:
-            hi = min(2 * lo, lo + (1 << 20), self.limit + 1)
+        while lo <= top:
+            hi = min(2 * lo, lo + (1 << 20), top + 1)
             p = self.spf[lo:hi]
             t[lo:hi] = step(t, p, np.arange(lo, hi) // p)
             lo = hi
@@ -161,12 +163,25 @@ class SieveTable:
         smooth = n // rough
         return RoughSmoothSplit(n=n, y=y, rough=rough, smooth=smooth)
 
+    def rough_parts(self, values: np.ndarray, y: int) -> np.ndarray:
+        """y-rough part of every n in `values`, from one table over 0..max:
+        r(n) = (p if p > y else 1) * r(n / p) with p = spf(n)."""
+        if not len(values):
+            return np.empty(0, dtype=np.int64)
+        if y < 1:
+            raise ValueError("threshold y must be >= 1")
+        self._check(int(values.min()))
+        self._check(int(values.max()))
+        r = self._by_smallest_prime(
+            1, lambda t, p, m: np.where(p > y, p, 1) * t[m], np.int64, int(values.max())
+        )
+        return r[values]
+
     def rough_part_set(self, a: SupportSet, eps1: float, n_scale: int) -> SupportSet:
         """Deduplicated set of rough parts of A at threshold y = n_scale^eps1."""
         if not 0 < eps1 < 1:
             raise ValueError("eps1 must be in (0, 1)")
-        y = int(n_scale**eps1)
-        return SupportSet(sorted({self.rough_smooth_split(int(x), y).rough for x in a.values}))
+        return SupportSet(np.unique(self.rough_parts(a.values, int(n_scale**eps1))))
 
     def psi_count(self, x: int, y: int) -> int:
         """Number of y-smooth integers in [1, x] (n = 1 counts)."""

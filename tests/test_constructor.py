@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from harmsum import constructor as ctor
 from harmsum.numerics import exact_rational_sum
+from harmsum.sieve import SieveRangeError
 from harmsum.support import SupportSet
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -267,6 +268,65 @@ def test_rough_basis_dense_interval(sieve_small):
         assert b in basis.b
         sp = sieve_small.rough_smooth_split(b, y)
         assert sp.rough == r and sp.smooth == s
+
+
+def _scalar_rough_basis(a, n_scale, eps0, sieve, eps1_floor=1.0 / 64):
+    """rough_basis_subset by one rough_smooth_split per element, as a tuple of
+    its fields (smooth_of as its items, in order)."""
+    target = min(n_scale ** (1.0 - eps0), float(len(a)))
+    eps1 = 0.5
+    while eps1 >= eps1_floor:
+        y = int(n_scale**eps1)
+        pairs: dict[int, int] = {}
+        for x in a.values.tolist():
+            split = sieve.rough_smooth_split(x, y)
+            if split.rough not in pairs or split.smooth < pairs[split.rough]:
+                pairs[split.rough] = split.smooth
+        if len(pairs) >= target:
+            k = max((sieve.big_omega(r) for r in pairs if r > 1), default=1)
+            note = "" if target == n_scale ** (1.0 - eps0) else "target capped at |A|"
+            return (sorted(r * s for r, s in pairs.items()), sorted(pairs), list(pairs.items()),
+                    eps1, max(k, 1), True, note)
+        eps1 /= 2.0
+    return [], [], [], eps1, 1, False, f"no eps1 >= {eps1_floor} reaches |R| >= N^(1-{eps0})"
+
+
+def _basis_fields(basis):
+    return (basis.b.values.tolist(), basis.r.values.tolist(), list(basis.smooth_of.items()),
+            basis.eps1, basis.k, basis.feasible, basis.note)
+
+
+@pytest.mark.parametrize("a, n", [
+    (SupportSet.interval(1000, 2000), 2000),
+    (SupportSet.interval(5000, 10_000), 10_000),
+    (SupportSet([2, 3, 4, 8, 9, 16, 27, 19_997]), 20_000),
+])
+def test_rough_basis_matches_scalar_splits(sieve_small, a, n):
+    for eps0 in (0.05, 0.2, 0.5):
+        expected = _scalar_rough_basis(a, n, eps0, sieve_small)
+        assert _basis_fields(ctor.rough_basis_subset(a, n, eps0, sieve_small)) == expected
+
+
+# Random sets, with powers of 2 and 3 mixed in so that many elements share a
+# rough part and some eps0 find no feasible eps1 above the floor.
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 20_000), min_size=1, max_size=300),
+    st.lists(st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 14), st.integers(0, 9)),
+             max_size=40),
+    st.integers(256, 20_000),
+    st.floats(0.01, 0.99),
+    st.sampled_from([1.0 / 64, 1.0 / 4]),
+)
+def test_rough_basis_matches_scalar_splits_random(sieve_small, values, smooth, n, eps0, floor):
+    a = SupportSet([v for v in values + smooth if v <= 20_000])
+    expected = _scalar_rough_basis(a, n, eps0, sieve_small, floor)
+    assert _basis_fields(ctor.rough_basis_subset(a, n, eps0, sieve_small, floor)) == expected
+
+
+def test_rough_basis_out_of_range_raises(sieve_small):
+    with pytest.raises(SieveRangeError):
+        ctor.rough_basis_subset(SupportSet([5, 20_001]), 20_000, 0.2, sieve_small)
 
 
 def test_dense_set_signs_small(sieve_small):

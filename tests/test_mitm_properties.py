@@ -1,7 +1,7 @@
 """Property tests: the int64 sorted-halves MITM kernel against brute force,
-at its own block and tail sizes and at tiny ones, its value-only half sums,
-the sign indices it recovers by value, its memory, and the signs of an
-all-free mitm_optimize."""
+at its own block and tail sizes and at tiny ones, its forced-sign exit, its
+value-only half sums, the sign indices it recovers by value, its memory, and
+the signs of an all-free mitm_optimize."""
 
 import math
 import random
@@ -128,6 +128,57 @@ def test_mitm_fixed_point_matches_brute_force_far_target(free_ns, tau, sign):
     assert signs == _brute_force(free_ns, tau)[1]
 
 
+# Targets on or past the reach H of the free set, |tau| in [H, 2^21): the
+# signs sign(tau) are forced, and the kernel returns them without a sweep
+# unless some unit is within the shortlist margin (then it sweeps as before).
+# Elements near 2^56..2^61 have units of a few ulps, where both happen.
+@st.composite
+def forced_targets(draw):
+    free_ns = draw(st.one_of(
+        tie_heavy_sets,
+        st.lists(st.integers(1, 10**11), min_size=1, max_size=14, unique=True).map(sorted),
+        st.lists(st.integers(2**56, 2**61), min_size=1, max_size=8, unique=True).map(sorted),
+    ))
+    reach = sum(Fraction(1, n) for n in free_ns)
+    past = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 80).map(lambda k: Fraction(1, 2**k)),
+        st.builds(Fraction, st.integers(0, 2**21 - 8), st.integers(1, 10**6)),
+    ))
+    return free_ns, draw(st.sampled_from([1, -1])) * (reach + past)
+
+
+@PROPERTY_SETTINGS
+@given(forced_targets())
+def test_mitm_fixed_point_matches_brute_force_forced_signs(case):
+    free_ns, tau = case
+    _assert_kernel_matches(free_ns, tau)
+
+
+# Six odd elements near 2^59 have units of 5 and 6 ulps at 61 fraction bits,
+# inside the 16-ulp shortlist margin: at tau = +-H the forced pair is not the
+# only one within the margin, so the kernel must fall back to the sweep.
+def test_forced_target_with_tiny_units_takes_the_sweep():
+    free_ns = [373542993807480557, 393759420806745301, 422022472808997793,
+               426229863984244511, 431704218350754281, 505579853182884529]
+    reach = sum(Fraction(1, n) for n in free_ns)
+    for tau in (reach, -reach):
+        _assert_kernel_matches(free_ns, tau)
+        assert ctor._mitm_fixed_point(free_ns, tau)[1]["shortlist_pairs"] == 7
+
+
+def test_forced_target_builds_no_half():
+    free_ns = list(range(2, 45))
+    reach = sum(Fraction(1, n) for n in free_ns)
+    boom = mock.Mock(side_effect=AssertionError("the sweep ran"))
+    with mock.patch.object(ctor, "_sorted_half", boom):
+        for tau in (reach, -reach - Fraction(1, 3), Fraction(2**30)):
+            signs, info = ctor._mitm_fixed_point(free_ns, tau)
+            assert signs == dict.fromkeys(free_ns, 1 if tau > 0 else -1)
+            assert info["shortlist_pairs"] == 1
+    assert not boom.called
+
+
 # Reciprocals near 1e-6 differ from each other in the last ~20 bits of the
 # int64 scale, so fixed-point near-ties are dense and the margin does the work.
 @PROPERTY_SETTINGS
@@ -220,13 +271,16 @@ def test_kernel_memory_stays_near_two_halves():
     """36 free elements give halves of 2^18 int64 sums (2 MiB each). The
     kernel holds both halves and block-sized scratch, about 2.3 halves at
     its peak; a kernel that carries sign-index arrays through the sort and
-    builds whole-half query, position and distance arrays peaks near 7."""
+    builds whole-half query, position and distance arrays peaks near 7.
+    The target lies inside [-H, H], so the kernel sweeps."""
     rng = random.Random(5)
     free_ns = sorted(rng.sample(range(100, 3000), 36))
+    tau = Fraction(1, 70)
+    assert abs(tau) < sum(Fraction(1, n) for n in free_ns)
     half_bytes = (1 << 18) * 8
     tracemalloc.start()
     try:
-        ctor._mitm_fixed_point(free_ns, Fraction(1, 7))
+        ctor._mitm_fixed_point(free_ns, tau)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,21 @@ def test_tables_match_factorization_past_block_cap():
         assert small[n] == table.small_omega(n)
         assert lpf[n] == max(p for p, _ in table.factorize(n))
         assert lam[n] == table.liouville(n)
+
+
+def test_table_memory_stays_near_int32_spf():
+    # the int32 spf takes 4 bytes an entry and the prime search a 1-byte mask;
+    # an int64 spf alone would take 8, and an int64 arange beside it 16
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        table = SieveTable(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.spf.dtype == np.int32 and table.primes.dtype == np.int64
+    assert len(table.primes) == 78_498
+    assert peak < 6.5 * limit
 
 
 def test_primes_in(sieve_small):
