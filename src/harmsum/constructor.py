@@ -16,11 +16,11 @@ from . import density as density_mod
 from .numerics import (
     BigFixed,
     ResourceBudgetError,
+    _half_sums,
     _jsonable,
     _round_nearest,
     default_precision,
     exact_rational_sum,
-    lcm_weights,
     rational_sum,
     rounded_units,
 )
@@ -32,6 +32,8 @@ SHORTLIST_CAP = 65536
 MITM_BLOCK = 1 << 14  # queries per block of the fixed-point MITM sweep
 MITM_TAIL_UNITS = 6  # units per half looked up by value in _sorted_indices
 GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
+DENSE_N_MIN = 256  # least scale of dense_set_signs and upper_density_scales
+EPS1_FLOOR = 1.0 / 64  # least rough-part exponent rough_basis_subset tries
 
 
 class InfeasibleError(Exception):
@@ -237,34 +239,12 @@ def small_prefix_construction(n_scale: int) -> ConstructionReport:
 
 
 def _spread_indices(n_items: int, count: int) -> np.ndarray:
-    """`count` indices spread evenly across range(n_items)."""
+    """`count` distinct ascending indices spread evenly across range(n_items),
+    from 0 to n_items - 1: for count < n_items the linspace step exceeds 1, so
+    the rounded points stay distinct."""
     if count >= n_items:
         return np.arange(n_items, dtype=np.int64)
-    idx = np.unique(np.round(np.linspace(0, n_items - 1, count)).astype(np.int64))
-    if len(idx) < count:
-        have = set(idx.tolist())
-        extra = [j for j in range(n_items - 1, -1, -1) if j not in have]
-        idx = np.sort(
-            np.concatenate((idx, np.asarray(extra[: count - len(idx)], dtype=np.int64)))
-        )
-    return idx
-
-
-def _half_sums(units: np.ndarray) -> np.ndarray:
-    """All 2^m signed sums of int64 `units`, in the order of
-    numerics.signed_subset_sums: bit j of an entry's index means -u_j.
-
-    Built in place: unit j turns the first 2^j entries v into v + u_j
-    followed by v - u_j.
-    """
-    out = np.empty(1 << len(units), dtype=np.int64)
-    out[0] = 0
-    n = 1
-    for u in units.tolist():
-        np.subtract(out[:n], u, out=out[n : 2 * n])
-        out[:n] += u
-        n *= 2
-    return out
+    return np.round(np.linspace(0, n_items - 1, count)).astype(np.int64)
 
 
 def _range_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -318,19 +298,13 @@ def _sorted_indices(
     return hit_idx[rank]
 
 
-def _signs_from_index(index: int, count: int) -> list[int]:
-    return [-1 if (index >> j) & 1 else 1 for j in range(count)]
-
-
-def _zip_halves(free_ns, signs_l, signs_r) -> dict[int, int]:
+def _pair_signs(free_ns: list[int], li: int, ri: int) -> dict[int, int]:
+    """Signs of the pair (li, ri): left index li over free_ns[0::2], right
+    index ri over free_ns[1::2]; bit j of an index means -1 at element j."""
     out: dict[int, int] = {}
-    out.update(zip(free_ns[0::2], signs_l))
-    out.update(zip(free_ns[1::2], signs_r))
+    for ns, index in ((free_ns[0::2], li), (free_ns[1::2], ri)):
+        out.update((n, -1 if (index >> j) & 1 else 1) for j, n in enumerate(ns))
     return out
-
-
-def _signed_sum(weights: list[int], index: int) -> int:
-    return sum(-w if (index >> j) & 1 else w for j, w in enumerate(weights))
 
 
 def _headroom_bits(heavy: Fraction, target: Fraction) -> int:
@@ -355,9 +329,9 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     sits within 2*(m+2) ulps of it; the blocks that hold such a query are swept
     again to collect them, and each collected query's window of the right half
     is shortlisted. Only the shortlisted sorted positions get their sign
-    indices, from _sorted_indices. Every shortlisted pair is compared exactly,
-    and the lexicographic minimum of (exact distance, left index, right index)
-    wins.
+    indices, from _sorted_indices. Each shortlisted pair's distance to tau is
+    re-checked exactly, by rational_sum over its signs, and the lexicographic
+    minimum of (exact distance, left index, right index) wins.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -429,14 +403,13 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     pos_l = np.repeat(len(left) - 1 - np.concatenate(rows), counts)
     pair_l = _sorted_indices(left, *parts_l, pos_l).tolist()
     pair_r = _sorted_indices(right, *parts_r, _range_positions(lo, counts)).tolist()
-    _, t_scaled, weights = lcm_weights(free_ns, tau)
-    weights = list(weights)
-    wl, wr = weights[0::2], weights[1::2]
-    _, li, ri = min(
-        (abs(_signed_sum(wl, i) + _signed_sum(wr, j) - t_scaled), i, j)
-        for i, j in zip(pair_l, pair_r)
-    )
-    signs = _zip_halves(free_ns, _signs_from_index(li, len(wl)), _signs_from_index(ri, len(wr)))
+
+    def exact_distance(li: int, ri: int) -> Fraction:
+        signs = _pair_signs(free_ns, li, ri)
+        return abs(rational_sum(signs.keys(), signs.values()) - tau)
+
+    _, li, ri = min((exact_distance(i, j), i, j) for i, j in zip(pair_l, pair_r))
+    signs = _pair_signs(free_ns, li, ri)
     info = {
         "mode": "fixed_point",
         "scale_bits": p_bits,
@@ -566,7 +539,6 @@ def rough_basis_subset(
     n_scale: int,
     eps0: float,
     sieve: SieveTable,
-    eps1_floor: float = 1.0 / 64,
 ) -> RoughBasis:
     """Search eps1 over {1/2, 1/4, ...} until |R_eps1(A)| >= N^(1-eps0).
 
@@ -579,7 +551,7 @@ def rough_basis_subset(
     # threshold N^(1-eps0) is capped by the set size itself.
     target = min(n_scale ** (1.0 - eps0), float(len(a)))
     eps1 = 0.5
-    while eps1 >= eps1_floor:
+    while eps1 >= EPS1_FLOOR:
         rough = sieve.rough_parts(a.values, int(n_scale**eps1))
         roots, first = np.unique(rough, return_index=True)
         if len(roots) >= target:
@@ -607,7 +579,7 @@ def rough_basis_subset(
         eps1=eps1,
         k=1,
         feasible=False,
-        note=f"no eps1 >= {eps1_floor} reaches |R| >= N^(1-{eps0})",
+        note=f"no eps1 >= {EPS1_FLOOR} reaches |R| >= N^(1-{eps0})",
     )
 
 
@@ -636,8 +608,6 @@ def dense_set_signs(
     sieve: SieveTable,
     target_eta: Fraction | None = None,
     max_free: int = 48,
-    n_min: int = 256,
-    escalate: bool = True,
 ) -> ConstructionReport:
     """Full small-sum pipeline on a dense set restricted to [1, N].
 
@@ -645,8 +615,8 @@ def dense_set_signs(
     targeting the negated prefix value; the rough basis and eta budget that
     frame the admissible window are computed and recorded.
     """
-    if n_scale < n_min:
-        raise ValueError(f"scale must be >= {n_min}")
+    if n_scale < DENSE_N_MIN:
+        raise ValueError(f"scale must be >= {DENSE_N_MIN}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     if n_scale <= 2.0 / -math.log1p(-delta / 2.0):
@@ -681,7 +651,7 @@ def dense_set_signs(
     while True:
         attempts.append(free)
         rep = mitm_optimize(main_sup, x0, max_free=free, seed=seed, target_eta=target_eta)
-        if rep.target_met or not escalate or free >= MAX_FREE_LIMIT:
+        if rep.target_met or free >= MAX_FREE_LIMIT:
             break
         free = min(free + 2, MAX_FREE_LIMIT)
     details = {
@@ -721,7 +691,6 @@ def upper_density_scales(
     max_scales: int,
     seed: int,
     sieve: SieveTable,
-    n_min: int = 256,
     max_free: int = 48,
 ) -> ScaleChainResult:
     """Qualifying-scale chain for sets of positive upper density.
@@ -744,7 +713,7 @@ def upper_density_scales(
     exhausted = False
     note = ""
     for _ in range(max_scales):
-        scan = n_min if prev == 0 else math.ceil(2 * prev / delta0)
+        scan = DENSE_N_MIN if prev == 0 else math.ceil(2 * prev / delta0)
         p_i = None
         while scan <= limit:
             if a0.count_upto(scan) >= delta0 * scan:

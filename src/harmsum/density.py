@@ -10,7 +10,6 @@ independent ways (seeded Monte Carlo and exact enumeration).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .numerics import BigFixed, _jsonable, lcm_weights, signed_subset_sums
+from .numerics import BigFixed, _half_sums, _jsonable
 from .support import SupportSet
 
 # The pointwise bound |cos(2*pi*theta)| <= exp(-2*pi^2*||theta||^2) is only
@@ -366,8 +365,11 @@ def mc_probability(
 def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fraction:
     """Exact P(|X_A - x0| <= eta) by meet-in-the-middle counting.
 
-    All comparisons happen in integer arithmetic over a common denominator;
-    supports up to EXHAUSTIVE_LIMIT elements are allowed.
+    All comparisons happen in integer arithmetic over the common denominator
+    D of A and x0 - eta: each half's signed sums of D/n come from _half_sums
+    as exact Python ints, and two searchsorted calls on the sorted left half
+    count the pairs inside the window. Supports up to EXHAUSTIVE_LIMIT
+    elements are allowed.
     """
     if len(a) > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} elements")
@@ -377,15 +379,19 @@ def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fracti
         raise ValueError("eta must be >= 0")
     if not len(a):
         return Fraction(1) if abs(x0) <= eta else Fraction(0)
+    ns = a.values.tolist()
+    lo = x0 - eta
+    den = math.lcm(lo.denominator, *ns)
     # The sums are integers, so the window [lo, hi] may be cut to floor(hi).
-    den, lo_i, weights = lcm_weights(a.values.tolist(), x0 - eta)
+    lo_i = lo.numerator * (den // lo.denominator)
     hi_i = math.floor((x0 + eta) * den)
-    weights = list(weights)
-    left = signed_subset_sums(weights[0::2])
-    right = sorted(signed_subset_sums(weights[1::2]))
-    count = 0
-    for s in left:
-        i = bisect.bisect_left(right, lo_i - s)
-        j = bisect.bisect_right(right, hi_i - s)
-        count += j - i
-    return Fraction(count, 1 << len(a))
+    weights = np.array([den // n for n in ns], dtype=object)
+    # weights[0::2], the larger half for odd m, is sorted by sorted(), which
+    # compares Python ints about twice as fast as np.sort on objects; the
+    # other half's sums are searched in it.
+    left = np.array(sorted(_half_sums(weights[0::2])), dtype=object)
+    right = _half_sums(weights[1::2])
+    count = np.searchsorted(left, hi_i - right, side="right") - np.searchsorted(
+        left, lo_i - right, side="left"
+    )
+    return Fraction(int(count.sum()), 1 << len(a))

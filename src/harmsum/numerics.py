@@ -19,9 +19,9 @@ import numpy as np
 if TYPE_CHECKING:
     from .support import SignSequence
 
-# Size guard for exact sums, in bits: lcm_weights checks the bit length of the
-# lcm, rational_sum the sum of the bit lengths of the n's (a bound on their
-# product), which passes [1, N] up to N = 448 645 and stops runaway requests.
+# Size guard for exact sums, in bits. rational_sum checks the sum of the bit
+# lengths of the n's (a bound on their product), which passes [1, N] up to
+# N = 448 645; SupportSet.from_ranges checks a support's size before it allocates.
 DEFAULT_LCM_BIT_BUDGET = 8_000_000
 # rational_sum adds its first terms in blocks of this many with small integers.
 _LEAF_TERMS = 8
@@ -268,29 +268,20 @@ def signed_harmonic_sum(signs: SignSequence, scale_bits: int) -> BigFixed:
     return unit_sum(signs.support.values, scale_bits, signs.signs)
 
 
-def lcm_weights(ns, target=0, lcm_bit_budget: int = DEFAULT_LCM_BIT_BUDGET):
-    """(D, target * D, weights D // n in the order of ns) with D the lcm of
-    ns and the denominator of target; ns is walked twice.
+def _half_sums(units: np.ndarray) -> np.ndarray:
+    """All 2^m signed sums of `units`: bit j of an entry's index means -u_j.
 
-    The weights are made lazily: each is about as large as D, so a caller
-    that walks them once never holds all of them.
+    The sums take the dtype of `units`: int64 in the MITM kernel, object
+    (exact Python ints) in exhaustive_probability. Built in place: unit j
+    turns the first 2^j entries v into v + u_j followed by v - u_j.
     """
-    target = Fraction(target)
-    den = target.denominator
-    for n in ns:
-        den = math.lcm(den, int(n))
-        if den.bit_length() > lcm_bit_budget:
-            raise ResourceBudgetError(
-                f"common denominator exceeds {lcm_bit_budget} bits"
-            )
-    return den, target.numerator * (den // target.denominator), (den // int(n) for n in ns)
-
-
-def signed_subset_sums(weights: list[int]) -> list[int]:
-    """All 2^m sums of +w_j or -w_j; bit j of a sum's index set means -w_j."""
-    out = [0]
-    for w in weights:
-        out = [s + w for s in out] + [s - w for s in out]
+    out = np.empty(1 << len(units), dtype=units.dtype)
+    out[0] = 0
+    n = 1
+    for u in units.tolist():
+        np.subtract(out[:n], u, out=out[n : 2 * n])
+        out[:n] += u
+        n *= 2
     return out
 
 

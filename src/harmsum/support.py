@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import DEFAULT_LCM_BIT_BUDGET, ResourceBudgetError, lcm_weights, rational_sum
+from .numerics import DEFAULT_LCM_BIT_BUDGET, ResourceBudgetError, rational_sum
+
+
+def _runs(values: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last positions of the maximal runs of `values` in which each
+    entry is the one before it plus `step`."""
+    if not len(values):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(values) != step)
+    return np.concatenate(([0], breaks + 1)), np.concatenate((breaks, [len(values) - 1]))
 
 
 class SupportSet:
@@ -93,17 +103,12 @@ class SupportSet:
         return rational_sum(self.values, [1] * len(self))
 
     def lcm(self) -> int:
-        return lcm_weights(self.values.tolist())[0]
+        return math.lcm(*self.values.tolist())
 
     def to_ranges(self) -> list[list[int]]:
         """Maximal runs of consecutive integers as [lo, hi] pairs."""
-        if not len(self):
-            return []
-        v = self.values
-        breaks = np.nonzero(np.diff(v) != 1)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [len(v) - 1]))
-        return [[int(v[s]), int(v[e])] for s, e in zip(starts, ends)]
+        first, last = _runs(self.values, 1)
+        return [list(run) for run in zip(self.values[first].tolist(), self.values[last].tolist())]
 
     @classmethod
     def from_ranges(cls, ranges) -> "SupportSet":
@@ -199,14 +204,8 @@ class SignSequence:
 
     def signs_rle(self) -> list[list[int]]:
         """Run-length encode the sign vector over the sorted support."""
-        out: list[list[int]] = []
-        for s in self.signs:
-            s = int(s)
-            if out and out[-1][0] == s:
-                out[-1][1] += 1
-            else:
-                out.append([s, 1])
-        return out
+        first, last = _runs(self.signs, 0)
+        return [list(run) for run in zip(self.signs[first].tolist(), (last - first + 1).tolist())]
 
     @classmethod
     def from_rle(cls, ranges, rle) -> "SignSequence":

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +227,17 @@ def test_mitm_matches_exhaustive_oracle():
         assert rep.achieved_exact == Fraction(best, den)
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(1, 10**6), st.integers(1, 60))
+@example(20_000, 59)
+def test_spread_indices_distinct_ascending(n_items, count):
+    idx = ctor._spread_indices(n_items, count).tolist()
+    assert len(idx) == min(count, n_items)
+    assert idx[0] == 0 and all(i < j for i, j in zip(idx, idx[1:]))
+    if len(idx) > 1:
+        assert idx[-1] == n_items - 1
+
+
 def test_mitm_respects_max_free_cap():
     with pytest.raises(Exception):
         ctor.mitm_optimize(SupportSet.interval(1, 100), Fraction(0), max_free=53)
@@ -321,7 +333,8 @@ def test_rough_basis_matches_scalar_splits(sieve_small, a, n):
 def test_rough_basis_matches_scalar_splits_random(sieve_small, values, smooth, n, eps0, floor):
     a = SupportSet([v for v in values + smooth if v <= 20_000])
     expected = _scalar_rough_basis(a, n, eps0, sieve_small, floor)
-    assert _basis_fields(ctor.rough_basis_subset(a, n, eps0, sieve_small, floor)) == expected
+    with mock.patch.object(ctor, "EPS1_FLOOR", floor):
+        assert _basis_fields(ctor.rough_basis_subset(a, n, eps0, sieve_small)) == expected
 
 
 def test_rough_basis_out_of_range_raises(sieve_small):

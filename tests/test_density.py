@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmsum import density as dens
 from harmsum.support import SupportSet
@@ -162,6 +165,57 @@ def test_exhaustive_probability_examples():
     assert dens.exhaustive_probability(a, Fraction(1, 6), Fraction(0)) == Fraction(1, 4)
     with pytest.raises(ValueError):
         dens.exhaustive_probability(SupportSet.interval(1, 30), Fraction(0), Fraction(1))
+
+
+# Egyptian-fraction identities 1/a = 1/(a+1) + 1/(a(a+1)) and
+# 1/a = 1/(2a) + 1/(3a) + 1/(6a): many sign vectors share one sum, so a
+# window edge on a reachable sum holds several of them at once.
+EGYPTIAN_GROUPS = [(a, a + 1, a * (a + 1)) for a in range(2, 8)] + [
+    (a, 2 * a, 3 * a, 6 * a) for a in range(1, 11)
+]
+probability_supports = st.one_of(
+    st.builds(
+        lambda groups, extra: sorted({n for g in groups for n in g} | set(extra))[:12],
+        st.lists(st.sampled_from(EGYPTIAN_GROUPS), min_size=1, max_size=3),
+        st.lists(st.integers(1, 60), max_size=4),
+    ),
+    # elements up to 2^62: the common denominator and the sums are big integers
+    st.lists(st.integers(1, 2**62), max_size=12, unique=True).map(sorted),
+)
+
+
+def _window(lo: Fraction, hi: Fraction, nudge: Fraction) -> tuple[Fraction, Fraction]:
+    """(x0, eta) of the window [lo, hi - nudge], the edges taken in order."""
+    lo, hi = sorted((lo, hi))
+    hi = max(lo, hi - nudge)
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(probability_supports, st.data())
+def test_exhaustive_probability_matches_brute_force(ns, data):
+    sums = [
+        sum((Fraction(s, n) for s, n in zip(signs, ns)), Fraction(0))
+        for signs in product((1, -1), repeat=len(ns))
+    ]
+    reach = sum((Fraction(1, n) for n in ns), Fraction(0))
+    edge = st.sampled_from(sums)
+    windows = st.fractions(0, 2, max_denominator=10**6)
+    x0, eta = data.draw(st.one_of(
+        st.tuples(edge, st.just(Fraction(0))),
+        # both window edges on reachable sums, or the upper one just below
+        # one, by less than 1 over the common denominator
+        st.tuples(edge, edge, st.sampled_from([Fraction(0), Fraction(1, 2**800)])).map(
+            lambda t: _window(*t)
+        ),
+        st.tuples(st.fractions(-2, 2, max_denominator=10**6), st.one_of(st.just(0), windows)),
+        # x0 far outside [-H, H], H the reciprocal sum; the window may reach back in
+        st.tuples(
+            st.sampled_from([1, -1]), st.fractions(0, 10**30, max_denominator=10**6), windows
+        ).map(lambda t: (t[0] * (reach + t[1]), t[1] + t[2] * reach)),
+    ))
+    hits = sum(abs(v - x0) <= eta for v in sums)
+    assert dens.exhaustive_probability(SupportSet(ns), x0, eta) == Fraction(hits, 1 << len(ns))
 
 
 def test_mc_matches_exhaustive():

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmsum import constructor as ctor
-from harmsum.numerics import _round_nearest, rounded_units, signed_subset_sums
+from harmsum import numerics
+from harmsum.numerics import _round_nearest, rounded_units
 from harmsum.support import SupportSet
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -27,6 +28,14 @@ KERNEL_SIZES = [(ctor.MITM_BLOCK, ctor.MITM_TAIL_UNITS), (2, 1), (3, 0)]
 
 def _half_signs(ns: list[int], index: int) -> dict[int, int]:
     return {n: -1 if (index >> j) & 1 else 1 for j, n in enumerate(ns)}
+
+
+def _signed_sums(units: list[int]) -> list[int]:
+    """Reference half sums, index by index: bit j of an index means -u_j."""
+    return [
+        sum(-u if (index >> j) & 1 else u for j, u in enumerate(units))
+        for index in range(1 << len(units))
+    ]
 
 
 def _brute_force(free_ns: list[int], tau: Fraction) -> tuple[int, dict[int, int]]:
@@ -52,8 +61,8 @@ def _fixed_point_pair_distances(free_ns: list[int], tau: Fraction, p_bits: int) 
     """|L + R - tau| in fixed point at 2^-p_bits over all pairs of half sums."""
     units = rounded_units(free_ns, p_bits)[0].tolist()
     tau_fp = _round_nearest(tau.numerator << p_bits, tau.denominator)[0]
-    left = np.asarray(signed_subset_sums(units[0::2]), dtype=np.int64)
-    right = np.asarray(signed_subset_sums(units[1::2]), dtype=np.int64)
+    left = np.asarray(_signed_sums(units[0::2]), dtype=np.int64)
+    right = np.asarray(_signed_sums(units[1::2]), dtype=np.int64)
     return np.abs(left[:, None] + right[None, :] - tau_fp)
 
 
@@ -227,7 +236,7 @@ def test_mitm_fixed_point_tied_half_sums(free_ns, data):
         st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)),
     ))
     _, info = ctor._mitm_fixed_point(free_ns, tau)
-    left = ctor._half_sums(rounded_units(free_ns, info["scale_bits"])[0][0::2])
+    left = numerics._half_sums(rounded_units(free_ns, info["scale_bits"])[0][0::2])
     assert len(np.unique(left)) < len(left)
     _assert_kernel_matches(free_ns, tau)
 
@@ -235,9 +244,9 @@ def test_mitm_fixed_point_tied_half_sums(free_ns, data):
 @PROPERTY_SETTINGS
 @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=12))
 def test_half_sums_match_signed_subset_sums(units):
-    sums = ctor._half_sums(np.asarray(units, dtype=np.int64))
+    sums = numerics._half_sums(np.asarray(units, dtype=np.int64))
     assert sums.dtype == np.int64
-    assert sums.tolist() == signed_subset_sums(units)
+    assert sums.tolist() == _signed_sums(units)
 
 
 # Units drawn from a few small values (zeros and repeats included) make most
@@ -254,7 +263,7 @@ def test_half_sums_match_signed_subset_sums(units):
 )
 def test_sorted_indices_match_stable_argsort(units, tail, data):
     units = np.asarray(units, dtype=np.int64)
-    unsorted = ctor._half_sums(units)
+    unsorted = numerics._half_sums(units)
     expected = np.argsort(unsorted, kind="stable")
     with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
         sums, low, tail_sums = ctor._sorted_half(units)
