@@ -298,12 +298,17 @@ def _sorted_indices(
     return hit_idx[rank]
 
 
+def _index_signs(count: int, index: int) -> list[int]:
+    """The +1/-1 signs of a half's sign index: bit j means -1 at element j."""
+    return [-1 if (index >> j) & 1 else 1 for j in range(count)]
+
+
 def _pair_signs(free_ns: list[int], li: int, ri: int) -> dict[int, int]:
     """Signs of the pair (li, ri): left index li over free_ns[0::2], right
-    index ri over free_ns[1::2]; bit j of an index means -1 at element j."""
+    index ri over free_ns[1::2]."""
     out: dict[int, int] = {}
     for ns, index in ((free_ns[0::2], li), (free_ns[1::2], ri)):
-        out.update((n, -1 if (index >> j) & 1 else 1) for j, n in enumerate(ns))
+        out.update(zip(ns, _index_signs(len(ns), index)))
     return out
 
 
@@ -330,8 +335,9 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     again to collect them, and each collected query's window of the right half
     is shortlisted. Only the shortlisted sorted positions get their sign
     indices, from _sorted_indices. Each shortlisted pair's distance to tau is
-    re-checked exactly, by rational_sum over its signs, and the lexicographic
-    minimum of (exact distance, left index, right index) wins.
+    re-checked exactly, from rational_sum over each distinct half index's
+    signs, and the lexicographic minimum of (exact distance, left index, right
+    index) wins.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -404,11 +410,12 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     pair_l = _sorted_indices(left, *parts_l, pos_l).tolist()
     pair_r = _sorted_indices(right, *parts_r, _range_positions(lo, counts)).tolist()
 
-    def exact_distance(li: int, ri: int) -> Fraction:
-        signs = _pair_signs(free_ns, li, ri)
-        return abs(rational_sum(signs.keys(), signs.values()) - tau)
-
-    _, li, ri = min((exact_distance(i, j), i, j) for i, j in zip(pair_l, pair_r))
+    # Each distinct half index is summed once; a pair's distance is then
+    # |L + (R - tau)|.
+    ns_l, ns_r = free_ns[0::2], free_ns[1::2]
+    exact_l = {i: rational_sum(ns_l, _index_signs(len(ns_l), i)) for i in set(pair_l)}
+    gap_r = {j: rational_sum(ns_r, _index_signs(len(ns_r), j)) - tau for j in set(pair_r)}
+    _, li, ri = min((abs(exact_l[i] + gap_r[j]), i, j) for i, j in zip(pair_l, pair_r))
     signs = _pair_signs(free_ns, li, ri)
     info = {
         "mode": "fixed_point",

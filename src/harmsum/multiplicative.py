@@ -279,11 +279,16 @@ def log_mean_pipeline(
     scale: J_i = [N_i/2, N_i] united with [N_i/(C+1), N_i/C].
 
     Per scale: (a) split L(f, N) = sum_top f(p)/p + L(f, C) * sum_mid f(p)/p
-    + E and assert the split against a direct evaluation, (b) flip signs on
-    the top block toward -E, (c) meet-in-the-middle on the mid block with
-    target (E + sum_top)/Delta, then refine a free subset of the top block,
-    and (d) re-verify |L(f, N)| exactly against the target. The function
-    agrees with the seed at every prime outside the union of the blocks.
+    + E and assert the split against a direct evaluation: [1, N] is cut once
+    into the m no block prime divides, whose exact sum is E, and the
+    multiples of block primes, and L(f, N) is E plus their exact sum; (b)
+    flip signs on the top block toward -E, (c) meet-in-the-middle on the mid
+    block with target (E + sum_top)/Delta, then refine a free subset of the
+    top block, and (d) re-verify |L(f, N)| exactly against the target, as E
+    plus the multiples' sum at the final signs. E is reused only after a check
+    that f is unchanged at every m outside the multiples; otherwise it is
+    summed again and the scale notes it. The function agrees with the seed at
+    every prime outside the union of the blocks.
 
     Delta = -L(seed, C) must be positive for the asymptotic argument; pass
     allow_nonpositive_delta=True to run best-effort when it is not.
@@ -332,18 +337,22 @@ def log_mean_pipeline(
         intervals.append([[mid_lo, mid_hi], [top_lo, top_hi]])
         if not len(top_primes):
             raise PipelineError(f"no primes in the top block at scale {n}")
-        all_ms = np.arange(1, n + 1)
-        vals = fn.values_range()
-        l_total = exact_sum(vals, all_ms)
-        s_top = exact_sum(vals, top_primes.values)
-        s_mid = exact_sum(vals, mid_primes.values)
-        e_value = l_total - s_top - l_c * s_mid
-        # Independent evaluation: sum over n <= N untouched by block primes.
+        # Split [1, N] into the m no block prime divides, whose f(m) no step
+        # below may change, and the multiples of block primes.
         mask = np.ones(n + 1, dtype=bool)
         mask[0] = False
         for p in list(mid_primes) + list(top_primes):
             mask[p::p] = False
-        identity_ok = exact_sum(vals, np.nonzero(mask)[0]) == e_value
+        untouched = np.flatnonzero(mask)
+        touched = np.flatnonzero(~mask[1:]) + 1
+        vals = vals_at_start = fn.values_range()
+        e_direct = exact_sum(vals, untouched)
+        l_total = e_direct + exact_sum(vals, touched)
+        s_top = exact_sum(vals, top_primes.values)
+        s_mid = exact_sum(vals, mid_primes.values)
+        e_value = l_total - s_top - l_c * s_mid
+        # Holds iff the multiples of block primes sum to s_top + L(f, C) s_mid.
+        identity_ok = e_value == e_direct
         if not identity_ok:
             notes.append("block decomposition identity failed")
         # (b) flip the top block toward -(E + L_C * current mid sum).
@@ -386,8 +395,12 @@ def log_mean_pipeline(
             fn = fn.with_overrides(dict(top_report.signs.items()))
             vals = fn.values_range()
             s_top = exact_sum(vals, top_primes.values)
-        # (d) exact re-verification at this scale.
-        l_final = exact_sum(vals, all_ms)
+        # (d) exact re-verification at this scale: only the touched part can
+        # have moved, so E is reused once the untouched values are confirmed.
+        if not np.array_equal(vals[untouched], vals_at_start[untouched]):
+            notes.append("values changed off the block multiples; E re-summed")
+            e_direct = exact_sum(vals, untouched)
+        l_final = e_direct + exact_sum(vals, touched)
         achieved_exact = abs(l_final)
         identity_final = l_final == e_value + s_top + l_c * s_mid
         if not identity_final:

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 DEFAULT_LCM_BIT_BUDGET = 8_000_000
 # rational_sum adds its first terms in blocks of this many with small integers.
 _LEAF_TERMS = 8
+_LOG2_10 = math.log2(10)
 
 
 class ResourceBudgetError(Exception):
@@ -115,9 +116,6 @@ class BigFixed:
     def __abs__(self) -> "BigFixed":
         return BigFixed(abs(self.mantissa), self.scale_bits, self.err_ulps)
 
-    def mul_int(self, k: int) -> "BigFixed":
-        return BigFixed(self.mantissa * k, self.scale_bits, self.err_ulps * abs(k))
-
     def mul_fraction(self, q: Fraction) -> "BigFixed":
         """Multiply by an exact rational, rounding to nearest (err +1 ulp)."""
         q = Fraction(q)
@@ -140,18 +138,6 @@ class BigFixed:
         }
 
 
-def _digits10(n: int) -> int:
-    """Number of decimal digits of a positive integer, without str()."""
-    if n <= 0:
-        raise ValueError("needs a positive integer")
-    approx = max(1, int(n.bit_length() * 0.30102999566398114))
-    while 10**approx <= n:
-        approx += 1
-    while 10 ** (approx - 1) > n:
-        approx -= 1
-    return approx
-
-
 def _sci(value: Fraction, sig: int, round_up: bool = False) -> str:
     """Exact scientific-notation rendering of a rational, `sig` digits.
 
@@ -162,10 +148,14 @@ def _sci(value: Fraction, sig: int, round_up: bool = False) -> str:
         return "0"
     sign = "-" if value < 0 else ""
     num, den = abs(value).numerator, abs(value).denominator
-    # Decimal exponent via digit counts, then correct by comparison.
-    e10 = _digits10(num) - _digits10(den)
-    if num * 10 ** max(0, -e10) < den * 10 ** max(0, e10):
+    # floor(log10(num/den)): log2(num/den) lies within one of the bit-length
+    # difference, so the estimate below is off by at most one each way, and
+    # comparisons with 10^e10 and 10^(e10 + 1) correct it.
+    e10 = math.floor((num.bit_length() - den.bit_length()) / _LOG2_10)
+    while num * 10 ** max(0, -e10) < den * 10 ** max(0, e10):
         e10 -= 1
+    while num * 10 ** max(0, -e10 - 1) >= den * 10 ** max(0, e10 + 1):
+        e10 += 1
     shift = sig - 1 - e10
     if shift >= 0:
         num *= 10**shift
@@ -190,9 +180,10 @@ def fraction_str(value: Fraction | None, max_digits: int = 60, sig: int = 24) ->
     value = Fraction(value)
     if value == 0:
         return "0"
-    num_d = _digits10(abs(value.numerator)) if value.numerator else 1
-    den_d = _digits10(value.denominator)
-    if num_d <= max_digits and den_d <= max_digits:
+    # Python compares ints of different sizes by length first, so this costs
+    # no more for lcm-sized values than for small ones.
+    limit = 10**max_digits
+    if abs(value.numerator) < limit and value.denominator < limit:
         return str(value)
     return _sci(value, sig)
 

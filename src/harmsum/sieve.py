@@ -147,10 +147,6 @@ class SieveTable:
         j = np.searchsorted(self.primes, b, side="right")
         return SupportSet(self.primes[i:j])
 
-    def prime_count(self, n: int) -> int:
-        self._check(max(n, 1))
-        return int(np.searchsorted(self.primes, n, side="right"))
-
     def prime_reciprocal_sum(self, a: int, b: int, scale_bits: int) -> BigFixed:
         """Error-bounded sum of 1/p over primes in (a, b]."""
         return unit_sum(self.primes_in(a, b).values, scale_bits)

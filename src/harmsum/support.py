@@ -89,9 +89,6 @@ class SupportSet:
     def difference(self, other: "SupportSet") -> "SupportSet":
         return SupportSet(np.setdiff1d(self.values, other.values, assume_unique=True))
 
-    def union(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet(np.union1d(self.values, other.values))
-
     def intersection(self, other: "SupportSet") -> "SupportSet":
         return SupportSet(np.intersect1d(self.values, other.values, assume_unique=True))
 
@@ -184,9 +181,6 @@ class SignSequence:
     def items(self):
         for n, s in zip(self.support.values, self.signs):
             yield int(n), int(s)
-
-    def negate(self) -> "SignSequence":
-        return SignSequence(self.support, -self.signs)
 
     def restrict(self, lo: int, hi: int) -> "SignSequence":
         i = np.searchsorted(self.support.values, lo, side="left")

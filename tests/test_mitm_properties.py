@@ -276,6 +276,40 @@ def test_sorted_indices_match_stable_argsort(units, tail, data):
     assert got.tolist() == expected[positions].tolist()
 
 
+def test_shortlist_recheck_on_a_large_tied_shortlist():
+    """[1, 40] toward 0 shortlists 3 328 pairs, most of them sharing a left
+    index. The kernel's pick is the lexicographic minimum of (exact distance,
+    left index, right index) over exactly the pairs it shortlisted, each
+    re-checked here over all 40 terms on the common denominator."""
+    free_ns, tau = list(range(1, 41)), Fraction(0)
+    found, original = [], ctor._sorted_indices
+
+    def recording(*args):
+        found.append(original(*args).tolist())
+        return np.asarray(found[-1], dtype=np.int64)
+
+    with mock.patch.object(ctor, "_sorted_indices", recording):
+        signs, info = ctor._mitm_fixed_point(free_ns, tau)
+    pairs = list(zip(*found))
+    den = math.lcm(*free_ns)
+    halves = (free_ns[0::2], free_ns[1::2])
+
+    def scaled(ns: list[int], index: int) -> int:
+        return sum(s * (den // n) for n, s in _half_signs(ns, index).items())
+
+    _, li, ri = min(
+        (abs(scaled(halves[0], i) + scaled(halves[1], j)), i, j) for i, j in pairs
+    )
+    assert signs == {**_half_signs(halves[0], li), **_half_signs(halves[1], ri)}
+    assert info == {
+        "mode": "fixed_point",
+        "scale_bits": 58,
+        "shortlist_pairs": 3328,
+        "fp_best_ulps": 2035317356,
+    }
+    assert len(pairs) == 3328 and len({i for i, _ in pairs}) < len(pairs) // 4
+
+
 def test_kernel_memory_stays_near_two_halves():
     """36 free elements give halves of 2^18 int64 sums (2 MiB each). The
     kernel holds both halves and block-sized scratch, about 2.3 halves at

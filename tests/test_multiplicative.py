@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from harmsum import multiplicative as mult
-from harmsum.numerics import Comparison
+from harmsum.numerics import Comparison, rational_sum
 from harmsum.sieve import SieveTable
 from harmsum.support import SupportSet
 
@@ -180,6 +180,95 @@ def test_pipeline_verification_never_indeterminate(sieve_small):
         verification=log,
     )
     assert log.entries and not log.indeterminate_accepts()
+
+
+def _full_sum(fn: mult.MultiplicativeFn, ms) -> Fraction:
+    """Exact sum of f(m)/m over ms, in one rational_sum call."""
+    ms = np.asarray(ms)
+    return rational_sum(ms, fn.values_range()[ms])
+
+
+@pytest.mark.parametrize("overrides", [None, {2: 1, 7: -1}])
+@pytest.mark.parametrize("rule", sorted(mult.SEED_RULES))
+def test_pipeline_split_sums_match_full_sums(sieve_small, rule, overrides):
+    """E, the identity check and |L(f, N)| agree with full sums over [1, N]
+    and over the untouched m, taken with the function at the start and at
+    the end of each scale."""
+    scales, c = [2000, 16000], 6
+    fn, state = mult.log_mean_pipeline(
+        sieve_small,
+        rule,
+        overrides,
+        c_cross=c,
+        scales=scales,
+        max_free=30,
+        allow_nonpositive_delta=True,
+    )
+    l_c = mult.MultiplicativeFn(sieve_small, rule, overrides).log_mean_exact(c)
+    for rep, prev in zip(state.scale_reports, [0] + scales):
+        n = rep.n_scale
+        # A scale starts from the seed and every override up to the last scale.
+        below = {p: s for p, s in fn.overrides.items() if p <= prev}
+        start = mult.MultiplicativeFn(sieve_small, rule, {**(overrides or {}), **below})
+        (mid_lo, mid_hi), (top_lo, top_hi) = mult._block_intervals(n, c)
+        mid = [int(p) for p in sieve_small.primes_in(mid_lo, mid_hi) if n // int(p) == c]
+        top = [int(p) for p in sieve_small.primes_in(top_lo, top_hi)]
+        ms = np.arange(1, n + 1)
+        untouched = ms[(ms[:, None] % np.array(mid + top)[None, :] != 0).all(axis=1)]
+        e_split = (
+            _full_sum(start, range(1, n + 1))
+            - _full_sum(start, top)
+            - l_c * _full_sum(start, mid)
+        )
+        e_masked = _full_sum(start, untouched)
+        assert rep.e_value == e_split
+        assert rep.identity_ok == (e_split == e_masked) and rep.identity_ok
+        assert rep.achieved_exact == abs(_full_sum(fn, range(1, n + 1)))
+
+
+def test_pipeline_guard_resums_e_when_values_move_off_the_blocks(sieve_small, monkeypatch):
+    """A with_overrides that also sets f(3) = +1, a prime outside every block,
+    changes f at untouched m: the scale notes it, the final identity fails,
+    and |L(f, N)| is still the full sum."""
+    with_overrides = mult.MultiplicativeFn.with_overrides
+    monkeypatch.setattr(
+        mult.MultiplicativeFn,
+        "with_overrides",
+        lambda self, extra: with_overrides(self, {**extra, 3: 1}),
+    )
+    fn, state = mult.log_mean_pipeline(
+        sieve_small, scales=[2000], max_free=30, allow_nonpositive_delta=True
+    )
+    (rep,) = state.scale_reports
+    assert fn.sign_at_prime(3) == 1
+    assert "values changed off the block multiples; E re-summed" in rep.notes
+    assert "post-construction decomposition identity failed" in rep.notes
+    assert rep.identity_ok and not rep.feasible
+    assert rep.achieved_exact == abs(_full_sum(fn, range(1, 2001)))
+
+
+def test_pipeline_sums_each_scale_about_once(sieve_small, monkeypatch):
+    """Each scale's exact sums cover fewer than 1.5 N terms: [1, N] once,
+    split into untouched m and block multiples, the block multiples again at
+    the end, and the block primes a few times. A second full sum of [1, N]
+    per scale would pass 2 N. Calls are assigned to the smallest scale that
+    holds their largest n."""
+    scales = [2000, 16000]
+    terms = dict.fromkeys(scales, 0)
+    counted = mult.rational_sum
+
+    def counting(ns, signs):
+        ns = np.asarray(ns)
+        if len(ns) and ns.max() > 6:  # skip L(seed, C)
+            terms[next(n for n in scales if ns.max() <= n)] += len(ns)
+        return counted(ns, signs)
+
+    monkeypatch.setattr(mult, "rational_sum", counting)
+    mult.log_mean_pipeline(
+        sieve_small, scales=scales, max_free=30, allow_nonpositive_delta=True
+    )
+    for n in scales:
+        assert n < terms[n] < 1.5 * n
 
 
 def test_make_scales():

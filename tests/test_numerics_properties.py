@@ -1,6 +1,7 @@
 """Property tests: interval containment, the shared exact and fixed-point sum
 helpers against Fraction references, the RLE round-trip and values_range."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from harmsum.numerics import (
     _sci,
     _unit_sum_loop,
     exact_rational_sum,
+    fraction_str,
     rational_sum,
     rounded_units,
     unit_sum,
@@ -196,3 +198,82 @@ def test_sci_brackets_the_value(value, sig):
     assert low <= value <= high
     assert len(_sci(value, sig, round_up=True).split("e")[0].replace(".", "")) == sig
     assert high - low <= 2 * value * Fraction(10) ** (1 - sig)
+
+
+def _digits10_reference(n: int) -> int:
+    approx = max(1, int(n.bit_length() * 0.30102999566398114))
+    while 10**approx <= n:
+        approx += 1
+    while 10 ** (approx - 1) > n:
+        approx -= 1
+    return approx
+
+
+def _sci_reference(value: Fraction, sig: int, round_up: bool = False) -> str:
+    """The renderer as written with decimal digit counts of num and den."""
+    if value == 0:
+        return "0"
+    sign = "-" if value < 0 else ""
+    num, den = abs(value).numerator, abs(value).denominator
+    e10 = _digits10_reference(num) - _digits10_reference(den)
+    if num * 10 ** max(0, -e10) < den * 10 ** max(0, e10):
+        e10 -= 1
+    shift = sig - 1 - e10
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    s = str(-(-num // den) if round_up else num // den)
+    if len(s) > sig:
+        e10 += len(s) - sig
+        s = s[:sig]
+    tail = s[1:] if round_up else s[1:].rstrip("0")
+    return f"{sign}{s[0]}{'.' + tail if tail else ''}e{e10:+d}"
+
+
+def _fraction_str_reference(value: Fraction, max_digits: int, sig: int) -> str:
+    if value == 0:
+        return "0"
+    num_d = _digits10_reference(abs(value.numerator))
+    den_d = _digits10_reference(value.denominator)
+    if num_d <= max_digits and den_d <= max_digits:
+        return str(value)
+    return _sci_reference(value, sig)
+
+
+def _signed_harmonic(n: int) -> Fraction:
+    rng = random.Random(n)
+    return rational_sum(range(1, n + 1), [rng.choice((-1, 1)) for _ in range(n)])
+
+
+# Integers of every size a report holds, with exact and near powers of ten
+# and of two, where a digit count from the bit length is least certain.
+_render_ints = st.one_of(
+    st.integers(1, 10**80),
+    st.integers(1, 1 << 12_000),
+    st.builds(lambda k, d: max(1, 10**k + d), st.integers(0, 3000), st.integers(-2, 2)),
+    st.builds(lambda b, d: max(1, (1 << b) + d), st.integers(0, 12_000), st.integers(-2, 2)),
+)
+rendered_values = st.one_of(
+    st.builds(
+        lambda num, den, neg: Fraction(-num if neg else num, den),
+        _render_ints,
+        _render_ints,
+        st.booleans(),
+    ),
+    # Lcm-sized numerators and denominators, as the pipeline reports them.
+    st.integers(1, 2500).map(_signed_harmonic),
+    st.just(Fraction(0)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(rendered_values, st.integers(1, 30), st.integers(0, 120), st.booleans())
+@example(_signed_harmonic(2000), 24, 60, False)
+@example(Fraction(10**60), 24, 60, False)
+@example(Fraction(10**60 - 1, 10**60), 24, 60, True)
+def test_renderers_match_the_digit_count_reference(value, sig, max_digits, round_up):
+    assert _sci(value, sig, round_up) == _sci_reference(value, sig, round_up)
+    assert fraction_str(value, max_digits, sig) == _fraction_str_reference(
+        value, max_digits, sig
+    )
