@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +25,8 @@ from . import multiplicative as mult
 from .numerics import (
     Comparison,
     ResourceBudgetError,
-    _jsonable,
+    _is_int_pairs,
+    _json_text,
     exact_rational_sum,
     verify_abs_below,
 )
@@ -50,7 +52,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _parse_args(argv):
+@functools.cache
+def _parsers():
+    """The top-level parser and its subcommand action, built once per process.
+
+    Building them costs more than a small solve; parsing leaves them as they
+    were, so every call can share them. No default is mutable.
+    """
     top = argparse.ArgumentParser(
         prog="harmsum",
         description="Construct and rigorously verify tiny signed harmonic sums",
@@ -123,7 +131,11 @@ def _parse_args(argv):
     p.add_argument("--interval", type=str, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--x0", type=_fraction, default=Fraction(0))
+    return top, sub
 
+
+def _parse_args(argv):
+    top, sub = _parsers()
     args, remaining = top.parse_known_args(argv)
     if remaining:
         top.error(f"unrecognized arguments: {' '.join(remaining)}")
@@ -174,7 +186,9 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
-def _record(args, report_obj, started: float) -> str:
+def _record(args, report, started: float) -> str:
+    """The JSON record of a command; report may be a report object, which
+    is converted as it is written."""
     record = {
         "schema": 1,
         "command": args.command,
@@ -186,9 +200,9 @@ def _record(args, report_obj, started: float) -> str:
         "rng_seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time": time.perf_counter() - started,
-        "report": _jsonable(report_obj),
+        "report": report,
     }
-    return json.dumps(record, indent=2, sort_keys=True)
+    return _json_text(record)
 
 
 def _cmd_sieve(args) -> int:
@@ -217,6 +231,8 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_density(args) -> int:
     started = time.perf_counter()
+    if args.count < 1:
+        raise _UsageError(f"--count must be >= 1, got {args.count}")
     n = args.n
     table = SieveTable(n)
     a = SupportSet.from_spec(args.a, n) if args.a else SupportSet.interval(n // 2, n)
@@ -262,28 +278,27 @@ def _cmd_construct(args) -> int:
             "achieved_exact": abs(total),
         }
     elif args.method == "flip":
-        flip = ctor.flip_to_target(sup, args.alpha)
-        report = flip.to_obj()
-        if not flip.feasible:
+        report = ctor.flip_to_target(sup, args.alpha)
+        if not report.feasible:
             exit_code = EXIT_INFEASIBLE
     elif args.method == "mitm":
-        rep = ctor.mitm_optimize(
+        report = ctor.mitm_optimize(
             sup,
             args.x0,
             max_free=args.max_free,
             seed=args.seed,
             target_eta=args.eta,
         )
-        report = rep.to_obj()
     elif args.method == "random":
         eta = args.eta if args.eta is not None else Fraction(1, 10**6)
-        rep = ctor.randomized_search(sup, args.x0, eta, seed=args.seed, max_iters=args.max_iters)
-        report = rep.to_obj()
+        report = ctor.randomized_search(
+            sup, args.x0, eta, seed=args.seed, max_iters=args.max_iters
+        )
     else:  # pipeline: prefix + meet-in-the-middle over a dense set
         n = args.n if args.n is not None else sup.max()
         table = SieveTable(n)
         try:
-            rep = ctor.dense_set_signs(
+            report = ctor.dense_set_signs(
                 sup,
                 n,
                 args.delta,
@@ -296,7 +311,6 @@ def _cmd_construct(args) -> int:
         except (ctor.InfeasibleError, ctor.DensityRequirementError) as exc:
             _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
             return EXIT_INFEASIBLE
-        report = rep.to_obj()
     _emit(_record(args, report, started), args.out)
     return exit_code
 
@@ -323,20 +337,13 @@ def _cmd_pipeline(args) -> int:
             max_free=args.max_free,
             allow_nonpositive_delta=args.allow_nonpositive_delta,
         )
+    except mult.PipelineArgumentError:
+        raise  # a ValueError: run maps it to exit 2 without a record
     except mult.PipelineError as exc:
         _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
         return EXIT_INFEASIBLE
     _emit(_record(args, state, started), args.out)
     return EXIT_OK if state.feasible else EXIT_INFEASIBLE
-
-
-def _is_int_pairs(obj) -> bool:
-    """Whether obj is a JSON list of [int, int] pairs. JSON true and false do
-    not count as ints, though Python's bool subclasses int."""
-    return isinstance(obj, list) and all(
-        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-        for p in obj
-    )
 
 
 def _stored_fraction(value, name: str) -> Fraction:

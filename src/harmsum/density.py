@@ -317,9 +317,13 @@ def decay_certificate(
         cert.feasible = False
         cert.note = "certificate needs |B| >= 2 so that |B|/2 can bound a count"
         return cert
+    t_samples = np.asarray(t_samples, dtype=np.float64)
+    if not t_samples.size:
+        cert.feasible = False
+        cert.note = "certificate needs at least one sampled t"
+        return cert
     half = len(b) / 2.0
-    for t in np.asarray(t_samples, dtype=np.float64):
-        t = float(t)
+    for t in t_samples.tolist():
         delta = delta_choice(len(b), n_scale, k, t)
         sc = s_count(b, t, delta)
         lr = char_fn_log_abs(a, t)

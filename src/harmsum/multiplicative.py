@@ -254,6 +254,11 @@ class PipelineError(Exception):
     """A pipeline precondition failed outright."""
 
 
+class PipelineArgumentError(PipelineError, ValueError):
+    """The scales, the block constant or the sieve do not fit the pipeline:
+    a usage error, not an infeasible outcome."""
+
+
 def make_scales(n0: int, factor: int, count: int) -> list[int]:
     return [n0 * factor**i for i in range(count)]
 
@@ -296,18 +301,18 @@ def log_mean_pipeline(
     t_start = time.perf_counter()
     scales = list(scales) if scales is not None else [2000, 16000]
     if sorted(scales) != scales:
-        raise PipelineError("scales must be increasing")
+        raise PipelineArgumentError("scales must be increasing")
     if c_cross < 2:
-        raise PipelineError("block constant must be >= 2")
+        raise PipelineArgumentError("block constant must be >= 2")
     if scales[0] <= (c_cross + 1) ** 2:
-        raise PipelineError(
+        raise PipelineArgumentError(
             f"first scale must exceed (C+1)^2 = {(c_cross + 1) ** 2} for a valid block split"
         )
     for a, b in zip(scales, scales[1:]):
         if b < 8 * a or b <= (c_cross + 1) * a:
-            raise PipelineError("each scale must be >= 8x and > (C+1)x the previous one")
+            raise PipelineArgumentError("each scale must be >= 8x and > (C+1)x the previous one")
     if scales[-1] > sieve.limit:
-        raise PipelineError("sieve limit below the top scale")
+        raise PipelineArgumentError("sieve limit below the top scale")
     fn = MultiplicativeFn(sieve, seed_rule, seed_overrides)
     seed_fn = fn
     l_c = seed_fn.log_mean_exact(c_cross)
@@ -356,9 +361,11 @@ def log_mean_pipeline(
         if not identity_ok:
             notes.append("block decomposition identity failed")
         # (b) flip the top block toward -(E + L_C * current mid sum).
-        flip = flip_to_target(top_primes, -(e_value + l_c * s_mid))
+        flip_target = -(e_value + l_c * s_mid)
+        flip = flip_to_target(top_primes, flip_target)
         if flip.feasible:
             fn = fn.with_overrides(dict(flip.signs.items()))
+            s_top = flip.error + flip_target  # the error is the signed sum minus the target
         else:
             fn = fn.with_overrides({int(p): fn.sign_at_prime(int(p)) for p in top_primes})
             notes.append(
@@ -366,7 +373,6 @@ def log_mean_pipeline(
                 "keeping seed signs"
             )
         vals = fn.values_range()
-        s_top = exact_sum(vals, top_primes.values)
         # (c) mid block toward x0 = (E + sum_top)/Delta, when it has leverage.
         mid_report = None
         if len(mid_primes) and delta != 0:
@@ -394,7 +400,7 @@ def log_mean_pipeline(
             )
             fn = fn.with_overrides(dict(top_report.signs.items()))
             vals = fn.values_range()
-            s_top = exact_sum(vals, top_primes.values)
+            s_top = s_top_fixed + exact_sum(vals, free_sup.values)
         # (d) exact re-verification at this scale: only the touched part can
         # have moved, so E is reused once the untouched values are confirmed.
         if not np.array_equal(vals[untouched], vals_at_start[untouched]):

@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,22 +192,128 @@ def fraction_str(value: Fraction | None, max_digits: int = 60, sig: int = 24) ->
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
 
-def _jsonable(obj):
-    """JSON-ready copy of a report value: rationals through fraction_str,
-    objects through their to_obj(), NumPy scalars as Python numbers."""
-    if type(obj) in _JSON_SCALARS:  # the common case, tested without ABC checks
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _plain(obj):
+    """One conversion of a report value that JSON does not hold as it is:
+    rationals through fraction_str, NumPy scalars as Python numbers, objects
+    through their to_obj(). Any other value comes back unchanged."""
     if isinstance(obj, Fraction):
         return fraction_str(obj)
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     if hasattr(obj, "to_obj"):
-        return _jsonable(obj.to_obj())
+        return obj.to_obj()
     return obj
+
+
+def _jsonable(obj):
+    """JSON-ready copy of a report value, each leaf converted by _plain."""
+    if type(obj) in _JSON_SCALARS:  # the common case, tested without ABC checks
+        return obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if _is_int_pairs(obj):  # a sign sequence's runs or ranges: no leaf to convert
+            return [[a, b] for a, b in obj]
+        return [_jsonable(v) for v in obj]
+    plain = _plain(obj)
+    return obj if plain is obj else _jsonable(plain)
+
+
+def _is_int_pairs(obj) -> bool:
+    """Whether obj is a list of [int, int] pairs. JSON true and false do not
+    count as ints, though Python's bool subclasses int."""
+    return isinstance(obj, list) and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+        for p in obj
+    )
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj) -> str:
+    """json.dumps(_jsonable(obj), indent=2, sort_keys=True), byte for byte,
+    written in one walk that converts each value as it goes.
+
+    json.dumps with an indent runs CPython's pure-Python encoder; lists of
+    [int, int] pairs, the run-length and range lists of a sign sequence, are
+    written here with one string template each.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    """Append the JSON text of obj; nl is the newline and indent of its line."""
+    if type(obj) not in _JSON_SCALARS and not isinstance(obj, (dict, list, tuple)):
+        plain = _plain(obj)
+        if plain is not obj:
+            _write_json(plain, nl, out)
+            return
+    # json.dumps's own rules from here on, subclasses of str, int and float included
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep)
+            out.append(encode_basestring_ascii(_key_text(key)))
+            out.append(": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _is_int_pairs(obj):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            out.append("[" + inner + ("," + inner).join([pair % (a, b) for a, b in obj]))
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _write_json(value, inner, out)
+                sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def unit_fraction(n: int, scale_bits: int) -> BigFixed:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,16 +27,21 @@ def test_usage_error_exit_code():
     assert cli.run(["bogus"]) == cli.EXIT_USAGE
 
 
-def _assert_usage_exit_without_traceback(argv):
-    # run as `python -m harmsum.cli`, the way a shell user meets the error
+def _run_module(argv):
+    """harmsum run as `python -m harmsum.cli` in a fresh process, the way a
+    shell user runs it."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "harmsum.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _assert_usage_exit_without_traceback(argv):
+    proc = _run_module(argv)
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
@@ -274,6 +281,34 @@ def test_pipeline_cli_reports_infeasible(tmp_path):
     assert len(reports) == 2 and all(r["identity_ok"] for r in reports)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scales", "16000,2000"],  # not increasing
+        ["--scales", "2000,4000"],  # ratio below 8
+        ["--scales", "2000,16000", "--c-cross", "10"],  # ratio <= C + 1
+        ["--scales", "40,16000"],  # first scale <= (C + 1)^2
+        ["--c-cross", "1"],
+    ],
+    ids=["decreasing", "ratio-below-8", "ratio-within-c", "first-scale-small", "c-cross-1"],
+)
+def test_pipeline_shape_errors_exit_usage_without_record(tmp_path, capsys, argv):
+    out = tmp_path / "p.json"
+    assert cli.run(["pipeline", *argv, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_density_without_samples_exits_usage(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    for count in ("0", "-3"):
+        assert cli.run(["density", "--n", "10", "--count", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_pipeline_cli_strict_delta(tmp_path):
     code = cli.run(["pipeline", "--scales", "2000,16000", "--out", str(tmp_path / "p.json")])
     assert code == cli.EXIT_INFEASIBLE
@@ -311,6 +346,48 @@ def test_config_values_convert_through_flag_types(tmp_path, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     cfg.write_text(json.dumps({"method": "bogus"}))
     assert cli.run(["--config", str(cfg)] + args[:3]) == cli.EXIT_USAGE
+
+
+def test_config_does_not_reach_the_next_call(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 99, "max_free": "20"}))
+    args = ["construct", "--set", "2..20", "--method", "random", "--eta", "1/1000"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.run(["--config", str(cfg), *args, "--out", str(first)]) == cli.EXIT_OK
+    assert cli.run([*args, "--out", str(second)]) == cli.EXIT_OK
+    a, b = (json.loads(p.read_text())["config"] for p in (first, second))
+    assert (a["seed"], a["max_free"]) == (99, 20)
+    assert (b["seed"], b["max_free"]) == (0, 48)
+
+
+def _masked_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time": [-+0-9.e]+', '"wall_time": 0', text)
+
+
+def test_shared_parser_after_errors_matches_a_fresh_process(tmp_path):
+    argv = ["construct", "--interval", "100..400", "--method", "mitm", "--max-free", "30",
+            "--x0", "1/777"]
+    fresh = tmp_path / "fresh.json"
+    assert _run_module([*argv, "--out", str(fresh)]).returncode == cli.EXIT_OK
+    for before, code in (
+        (["construct", "--interval", "1..20", "--method", "bogus"], cli.EXIT_USAGE),
+        (["construct", "--max-free", "x", "--interval", "1..20"], cli.EXIT_USAGE),
+        (["--help"], cli.EXIT_OK),
+        (["construct", "--help"], cli.EXIT_OK),
+    ):
+        assert cli.run(before) == code
+        out = tmp_path / "reused.json"
+        assert cli.run([*argv, "--out", str(out)]) == cli.EXIT_OK
+        assert _masked_wall_time(out.read_text()) == _masked_wall_time(fresh.read_text())
+
+
+def test_parser_defaults_are_immutable():
+    top, sub = cli._parsers()
+    for parser in (top, *sub.choices.values()):
+        for action in parser._actions:
+            assert isinstance(action.default, (type(None), int, float, str, Fraction)), (
+                parser.prog, action.dest
+            )
 
 
 def _write_report(path: Path, ranges, rle, target: str) -> Path:
@@ -379,7 +456,10 @@ def test_fixed_seed_records_unchanged(tmp_path):
         if name == "verify":  # re-checks the report of the mitm command
             argv = argv + ["--signs", str(tmp_path / "mitm.json")]
         exit_code = cli.run(argv + ["--out", str(out)])
-        payload = _strip_wall_time(json.loads(out.read_text()))
+        raw = out.read_text()
+        # the bytes, not only the content: indent 2, sorted keys, no extra space
+        assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True), name
+        payload = _strip_wall_time(json.loads(raw))
         payload["config"].pop("signs", None)
         text = json.dumps(payload, sort_keys=True)
         got[name] = (exit_code, hashlib.sha256(text.encode()).hexdigest())

@@ -136,6 +136,8 @@ def test_certificate_degenerate_b(sieve_small):
     a = SupportSet.interval(100, 200)
     cert = dens.decay_certificate(a, SupportSet([150]), 200, 1, [])
     assert not cert.feasible
+    cert = dens.decay_certificate(a, SupportSet([151, 157]), 200, 1, [])
+    assert not cert.feasible and not cert.ok and cert.note
     with pytest.raises(ValueError):
         dens.decay_certificate(a, SupportSet([7]), 200, 1, [])  # B not inside A
 

@@ -247,20 +247,59 @@ def test_pipeline_guard_resums_e_when_values_move_off_the_blocks(sieve_small, mo
     assert rep.achieved_exact == abs(_full_sum(fn, range(1, 2001)))
 
 
+def test_pipeline_takes_the_top_sum_from_a_feasible_flip(sieve_small, monkeypatch):
+    """No desk-scale seed makes the flip feasible, so a stand-in flip returns
+    alternating signs with their true error: the top block's sum then comes
+    from that error. The mid block's target (E + sum_top)/Delta, the final
+    identity and |L(f, N)| must match sums taken directly."""
+    from harmsum.constructor import FlipResult
+    from harmsum.support import SignSequence
+
+    def feasible_flip(top, alpha):
+        signs = np.where(np.arange(len(top)) % 2 == 0, 1, -1)
+        top_sum = rational_sum(top.values, signs)
+        flipped.append(top_sum)
+        return FlipResult(True, SignSequence(top, signs), top_sum - alpha)
+
+    def recording_mitm(sup, x0, **kwargs):
+        x0s.append(x0)
+        return mitm_optimize(sup, x0, **kwargs)
+
+    mitm_optimize = mult.mitm_optimize
+    monkeypatch.setattr(mult, "flip_to_target", feasible_flip)
+    monkeypatch.setattr(mult, "mitm_optimize", recording_mitm)
+    for scales in ([2000], [2000, 16000]):
+        flipped, x0s = [], []
+        fn, state = mult.log_mean_pipeline(
+            sieve_small, scales=scales, max_free=20, allow_nonpositive_delta=True
+        )
+        for i, rep in enumerate(state.scale_reports):
+            assert rep.flip.feasible and rep.identity_ok
+            assert x0s[2 * i] == (rep.e_value + flipped[i]) / state.delta
+            assert "post-construction decomposition identity failed" not in rep.notes
+            assert rep.achieved_exact == abs(_full_sum(fn, range(1, rep.n_scale + 1)))
+
+
 def test_pipeline_sums_each_scale_about_once(sieve_small, monkeypatch):
     """Each scale's exact sums cover fewer than 1.5 N terms: [1, N] once,
     split into untouched m and block multiples, the block multiples again at
     the end, and the block primes a few times. A second full sum of [1, N]
     per scale would pass 2 N. Calls are assigned to the smallest scale that
-    holds their largest n."""
+    holds their largest n. The top block's primes are summed whole at most
+    once per scale: the flip's error and the refined free primes give the
+    later values."""
     scales = [2000, 16000]
     terms = dict.fromkeys(scales, 0)
+    top_sums = dict.fromkeys(scales, 0)
+    tops = {n: sieve_small.primes_in(n // 2, n).values for n in scales}
     counted = mult.rational_sum
 
     def counting(ns, signs):
         ns = np.asarray(ns)
         if len(ns) and ns.max() > 6:  # skip L(seed, C)
-            terms[next(n for n in scales if ns.max() <= n)] += len(ns)
+            scale = next(n for n in scales if ns.max() <= n)
+            terms[scale] += len(ns)
+            top_sums[scale] += np.array_equal(ns, tops[scale])
         return counted(ns, signs)
 
     monkeypatch.setattr(mult, "rational_sum", counting)
@@ -269,6 +308,7 @@ def test_pipeline_sums_each_scale_about_once(sieve_small, monkeypatch):
     )
     for n in scales:
         assert n < terms[n] < 1.5 * n
+        assert top_sums[n] <= 1
 
 
 def test_make_scales():

@@ -1,6 +1,8 @@
 """Property tests: interval containment, the shared exact and fixed-point sum
-helpers against Fraction references, the RLE round-trip and values_range."""
+helpers against Fraction references, the RLE round-trip, values_range and the
+record writer against json.dumps."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from harmsum.numerics import (
     BigFixed,
     ResourceBudgetError,
     _half_sums,
+    _json_text,
+    _jsonable,
     _round_nearest,
     _sci,
     _unit_sum_loop,
@@ -277,3 +281,55 @@ def test_renderers_match_the_digit_count_reference(value, sig, max_digits, round
     assert fraction_str(value, max_digits, sig) == _fraction_str_reference(
         value, max_digits, sig
     )
+
+
+class _Reported:
+    """A report object: the writer converts it through to_obj()."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_obj(self):
+        return {"payload": self.payload, "kind": "reported"}
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # non-ASCII and control characters included
+    st.fractions(),
+    st.integers(10**59, 10**80).map(lambda d: Fraction(1, d)),  # fraction_str's sci form
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.just([[True, 1]]),  # a bool pair: not an int pair
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=4),
+        kids.map(_Reported),
+        st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+@PROPERTY_SETTINGS
+@given(json_trees)
+@example({"signs_rle": [[1, 3], [-1, 2]], "support_ranges": [[1, 5]], "empty": [{}, []]})
+@example({10: 1, 9: [(1, 2)], -1: Fraction(1, 3)})
+def test_record_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(_jsonable(tree), indent=2, sort_keys=True)
+
+
+def test_record_writer_rejects_what_json_dumps_rejects():
+    for value in (object(), {Fraction(1, 2): 1}, {1: 0, "1": 0}, np.bool_(True)):
+        with pytest.raises(TypeError):
+            json.dumps(_jsonable(value), indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(value)
