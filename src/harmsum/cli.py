@@ -194,7 +194,7 @@ def _record(args, report, started: float) -> str:
         "command": args.command,
         "config": {
             k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in sorted(vars(args).items())
+            for k, v in vars(args).items()
             if k not in ("config", "out") and not k.startswith("_")
         },
         "rng_seed": getattr(args, "seed", None),
@@ -442,6 +442,9 @@ def run(argv) -> int:
     # covers json.JSONDecodeError, an input file that is not JSON.
     except (_UsageError, ValueError, OSError, ResourceBudgetError, SieveRangeError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a resource limit, never an infeasible outcome
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

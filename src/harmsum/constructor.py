@@ -17,7 +17,6 @@ from .numerics import (
     BigFixed,
     ResourceBudgetError,
     _half_sums,
-    _jsonable,
     _round_nearest,
     default_precision,
     exact_rational_sum,
@@ -52,9 +51,6 @@ class FlipResult:
     signs: SignSequence | None
     error: Fraction | None
     deficit: Fraction | None = None
-
-    def to_obj(self) -> dict:
-        return _jsonable(vars(self))
 
 
 @dataclass
@@ -103,9 +99,6 @@ class ConstructionReport:
             wall_time=time.perf_counter() - t_start,
             details=details,
         )
-
-    def to_obj(self) -> dict:
-        return _jsonable(vars(self))
 
 
 def _certified_greedy(ns: list[int], start, scale_bits: int = GREEDY_SCALE_BITS) -> list[int]:
@@ -486,6 +479,8 @@ def randomized_search(
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     x0 = Fraction(x0)
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -665,9 +660,9 @@ def dense_set_signs(
         "prefix_sum": prefix_sum,
         "prefix_bound": 2.0 / (delta * n_scale),
         "prefix_size": len(prefix_sup),
-        "rough_basis": basis.to_obj(),
-        "eta_budget": budget.to_obj(),
-        "mitm": rep.to_obj(),
+        "rough_basis": basis,
+        "eta_budget": budget,
+        "mitm": rep,
         "max_free_attempts": attempts,
         "theta_hat": achieved_exponent(rep.achieved_exact, n_scale),
     }
@@ -687,9 +682,6 @@ class ScaleChainResult:
     signs: SignSequence
     exhausted: bool
     note: str = ""
-
-    def to_obj(self) -> dict:
-        return _jsonable(vars(self))
 
 
 def upper_density_scales(

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .numerics import BigFixed, _half_sums, _jsonable
+from .numerics import BigFixed, _half_sums
 from .support import SupportSet
 
 # The pointwise bound |cos(2*pi*theta)| <= exp(-2*pi^2*||theta||^2) is only
@@ -126,7 +126,7 @@ class EtaBudget:
     reasons: tuple[str, ...]
 
     def to_obj(self) -> dict:
-        obj = _jsonable(vars(self))
+        obj = dict(vars(self))
         obj["n"] = obj.pop("n_scale")
         return obj
 

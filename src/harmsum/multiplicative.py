@@ -23,7 +23,6 @@ from .numerics import (
     BigFixed,
     Comparison,
     VerificationLog,
-    _jsonable,
     default_precision,
     rational_sum,
     rounded_units,
@@ -31,7 +30,7 @@ from .numerics import (
     verify_abs_below,
 )
 from .sieve import SieveTable
-from .support import SignSequence, SupportSet
+from .support import SupportSet
 
 
 # Each seed rule maps an array of primes to their signs.
@@ -126,10 +125,6 @@ class MultiplicativeFn:
             raise ValueError("n outside supported range")
         return rational_sum(range(1, n + 1), self.values_range()[1 : n + 1])
 
-    def to_sign_sequence(self, support: SupportSet) -> SignSequence:
-        vals = self.values_range()
-        return SignSequence(support, vals[support.values])
-
     def __repr__(self) -> str:
         return (
             f"MultiplicativeFn(rule={self.default_rule!r}, "
@@ -145,9 +140,6 @@ class Chi3Report:
     values: list[tuple[int, int, int]]  # (K, M(f, 3^K + 1), expected)
     ok: bool
     witness: int | None
-
-    def to_obj(self) -> dict:
-        return _jsonable(vars(self))
 
 
 def chi3_star_check(k_max: int, sieve: SieveTable) -> Chi3Report:
@@ -223,7 +215,7 @@ class ScaleReport:
     notes: list[str] = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        obj = _jsonable(vars(self))
+        obj = dict(vars(self))
         obj["n"] = obj.pop("n_scale")
         return obj
 
@@ -245,8 +237,9 @@ class PipelineState:
     verification: VerificationLog | None = None
 
     def to_obj(self) -> dict:
-        obj = _jsonable({k: v for k, v in vars(self).items() if k != "verification"})
-        obj["seed_overrides"] = {str(k): v for k, v in sorted(self.seed_overrides.items())}
+        obj = {k: v for k, v in vars(self).items() if k != "verification"}
+        # str keys, as JSON holds them: they sort as strings, not as numbers
+        obj["seed_overrides"] = {str(k): v for k, v in self.seed_overrides.items()}
         return obj
 
 

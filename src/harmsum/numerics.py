@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -195,28 +195,17 @@ _JSON_SCALARS = (str, int, float, bool, type(None))
 def _plain(obj):
     """One conversion of a report value that JSON does not hold as it is:
     rationals through fraction_str, NumPy scalars as Python numbers, objects
-    through their to_obj(). Any other value comes back unchanged."""
+    through their to_obj(), other dataclass instances as their fields. Any
+    other value comes back unchanged."""
     if isinstance(obj, Fraction):
         return fraction_str(obj)
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     if hasattr(obj, "to_obj"):
         return obj.to_obj()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return vars(obj)
     return obj
-
-
-def _jsonable(obj):
-    """JSON-ready copy of a report value, each leaf converted by _plain."""
-    if type(obj) in _JSON_SCALARS:  # the common case, tested without ABC checks
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if _is_int_pairs(obj):  # a sign sequence's runs or ranges: no leaf to convert
-            return [[a, b] for a, b in obj]
-        return [_jsonable(v) for v in obj]
-    plain = _plain(obj)
-    return obj if plain is obj else _jsonable(plain)
 
 
 def _is_int_pairs(obj) -> bool:
@@ -256,8 +245,9 @@ def _key_text(key) -> str:
 
 
 def _json_text(obj) -> str:
-    """json.dumps(_jsonable(obj), indent=2, sort_keys=True), byte for byte,
-    written in one walk that converts each value as it goes.
+    """json.dumps(obj, default=_plain, indent=2, sort_keys=True), byte for
+    byte, written in one walk that converts each value as it goes. A value
+    that _plain leaves as it is raises TypeError.
 
     json.dumps with an indent runs CPython's pure-Python encoder; lists of
     [int, int] pairs, the run-length and range lists of a sign sequence, are

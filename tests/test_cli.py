@@ -309,6 +309,33 @@ def test_density_without_samples_exits_usage(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_random_without_iterations_exits_usage_without_traceback():
+    _assert_usage_exit_without_traceback(
+        ["construct", "--interval", "1..10", "--method", "random", "--max-iters", "0"]
+    )
+
+
+@pytest.mark.parametrize(
+    ("exc", "message"),
+    [
+        (MemoryError("Unable to allocate 7.45 GiB"), "out of memory: Unable to allocate 7.45 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["message", "bare"],
+)
+def test_out_of_memory_exits_usage_without_record(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.SupportSet, "from_spec", exhausted)
+    out = tmp_path / "g.json"
+    argv = ["construct", "--interval", "1..1000000000", "--method", "greedy", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [message]
+    assert not out.exists()
+
+
 def test_pipeline_cli_strict_delta(tmp_path):
     code = cli.run(["pipeline", "--scales", "2000,16000", "--out", str(tmp_path / "p.json")])
     assert code == cli.EXIT_INFEASIBLE
@@ -446,6 +473,8 @@ FIXED_SEED_RECORDS = {
     "pipeline": (["pipeline", "--scales", "2000,16000", "--max-free", "30",
                   "--allow-nonpositive-delta"], 1,
                  "99fba6916ae0e2da9799e0f6b8709667d0a14043954ca3e70c3be469679fe654"),
+    "density": (["density", "--n", "2000", "--count", "20", "--seed", "3"], 0,
+                "a5f26d90ca0db030c67183969ab15331c3198ccd1f1d46540c3da057f9ba21f9"),
 }
 
 

@@ -254,6 +254,12 @@ def test_randomized_search():
     assert r1.signs == r2.signs and r1.achieved_exact == r2.achieved_exact
 
 
+def test_randomized_search_needs_an_iteration():
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            ctor.randomized_search(SupportSet([2, 3]), 0, Fraction(1, 50), max_iters=max_iters)
+
+
 def test_rough_basis_subset(sieve_small):
     n = 2000
     primes = sieve_small.primes_in(n // 2, n)

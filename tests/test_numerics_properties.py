@@ -4,6 +4,7 @@ record writer against json.dumps."""
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from harmsum.numerics import (
     ResourceBudgetError,
     _half_sums,
     _json_text,
-    _jsonable,
+    _plain,
     _round_nearest,
     _sci,
     _unit_sum_loop,
@@ -293,6 +294,27 @@ class _Reported:
         return {"payload": self.payload, "kind": "reported"}
 
 
+@dataclass
+class _Fields:
+    """A report dataclass with no to_obj: the writer writes its fields."""
+
+    payload: object
+    kind: str = "fields"
+
+
+def _default(obj):
+    """json.dumps's hook for what JSON does not hold: the writer's one
+    conversion, and TypeError where that leaves obj as it is."""
+    plain = _plain(obj)
+    if plain is obj:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return plain
+
+
+def _dumps(tree):
+    return json.dumps(tree, default=_default, indent=2, sort_keys=True)
+
+
 json_leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -313,6 +335,7 @@ json_trees = st.recursive(
         st.dictionaries(st.text(max_size=4), kids, max_size=4),
         st.dictionaries(st.integers(), kids, max_size=4),
         kids.map(_Reported),
+        kids.map(_Fields),
         st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=5),
     ),
     max_leaves=24,
@@ -324,12 +347,13 @@ json_trees = st.recursive(
 @example({"signs_rle": [[1, 3], [-1, 2]], "support_ranges": [[1, 5]], "empty": [{}, []]})
 @example({10: 1, 9: [(1, 2)], -1: Fraction(1, 3)})
 def test_record_writer_matches_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(_jsonable(tree), indent=2, sort_keys=True)
+    assert _json_text(tree) == _dumps(tree)
 
 
 def test_record_writer_rejects_what_json_dumps_rejects():
-    for value in (object(), {Fraction(1, 2): 1}, {1: 0, "1": 0}, np.bool_(True)):
+    # _Fields is a dataclass type, not an instance: it has no fields to write
+    for value in (object(), {Fraction(1, 2): 1}, {1: 0, "1": 0}, np.bool_(True), _Fields):
         with pytest.raises(TypeError):
-            json.dumps(_jsonable(value), indent=2, sort_keys=True)
+            _dumps(value)
         with pytest.raises(TypeError):
             _json_text(value)
