@@ -141,11 +141,12 @@ def _parse_args(argv):
         top.error(f"unrecognized arguments: {' '.join(remaining)}")
     if args.config:
         defaults = _read_json_object(args.config, "--config")
-        given = {tok.split("=")[0] for tok in (argv or []) if tok.startswith("--")}
-        actions = {a.dest: a for a in sub.choices[args.command]._actions}
+        parser = sub.choices[args.command]
+        given = _given_dests(parser, argv or [])
+        actions = {a.dest: a for a in parser._actions}
         for key, val in defaults.items():
             attr = key.replace("-", "_")
-            if attr in actions and hasattr(args, attr) and f"--{key}" not in given:
+            if attr in actions and hasattr(args, attr) and attr not in given:
                 setattr(args, attr, _config_value(actions[attr], key, val))
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
@@ -154,6 +155,19 @@ def _parse_args(argv):
             f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}], got {args.precision_bits}"
         )
     return args
+
+
+def _given_dests(parser: argparse.ArgumentParser, argv) -> set[str]:
+    """Dests of the options argv gives parser, each option matched as argparse
+    matches it: by its exact string, else by the prefix it abbreviates."""
+    dests = {opt: a.dest for a in parser._actions for opt in a.option_strings}
+    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--") and tok != "--"}
+    return {dests[opt] for opt in given & dests.keys()} | {
+        dest
+        for opt in given - dests.keys()
+        for full, dest in dests.items()
+        if full.startswith(opt)
+    }
 
 
 def _read_json_object(path: str, flag: str) -> dict:
@@ -206,7 +220,9 @@ def _record(args, report, started: float) -> str:
 
 
 def _cmd_sieve(args) -> int:
-    table = SieveTable(args.limit)
+    if not args.rho and not args.psi:
+        print("nothing to do: pass --psi and/or --rho", file=sys.stderr)
+        return EXIT_USAGE
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.rho:
@@ -216,15 +232,13 @@ def _cmd_sieve(args) -> int:
         writer.writerow(["u", "rho_u"])
         for u, r in dickman_rho_grid(u_max, coarse):
             writer.writerow([f"{u:.6g}", f"{r:.12e}"])
-    if args.psi:
+    if args.psi:  # only the smooth counts read the --limit table
+        table = SieveTable(args.limit)
         writer.writerow(["x", "y", "psi"])
         for pair in args.psi.split(","):
             xs, ys = pair.split(":")
             x, y = int(xs), int(ys)
             writer.writerow([x, y, table.psi_count(x, y)])
-    if not args.rho and not args.psi:
-        print("nothing to do: pass --psi and/or --rho", file=sys.stderr)
-        return EXIT_USAGE
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from .support import SignSequence, SupportSet
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
 MITM_BLOCK = 1 << 14  # queries per block of the fixed-point MITM sweep
-MITM_TAIL_UNITS = 6  # units per half looked up by value in _sorted_indices
+MITM_TAIL_UNITS = 6  # units per half looked up by value in _value_indices
 GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
 DENSE_N_MIN = 256  # least scale of dense_set_signs and upper_density_scales
 EPS1_FLOOR = 1.0 / 64  # least rough-part exponent rough_basis_subset tries
@@ -252,7 +252,7 @@ def _sorted_half(units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     The half is built from its parts: every half index is a low index over all
     but the last MITM_TAIL_UNITS units plus a tail index over those, so
     (tail[:, None] + low[None, :]).ravel() is _half_sums(units) entry for
-    entry. _sorted_indices looks sign indices up in the same parts.
+    entry. _value_indices looks sign indices up in the same parts.
     """
     k = max(len(units) - MITM_TAIL_UNITS, 0)
     low, tail = _half_sums(units[:k]), _half_sums(units[k:])
@@ -261,48 +261,32 @@ def _sorted_half(units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return sums, low, tail
 
 
-def _sorted_indices(
-    sums: np.ndarray, low: np.ndarray, tail: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Sign index of each sorted position of `sums`, a half from _sorted_half
-    with its low and tail sums, as a stable argsort of the unsorted half
-    would give it.
+def _value_indices(
+    low: np.ndarray, tail: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, sums): every sign index whose sum is among `values`, with its
+    sum, in the half with these low and tail sums from _sorted_half. The sums
+    come out ascending.
 
     A small meet-in-the-middle by value: each wanted value minus each tail sum
-    is looked up among the sorted low sums. The hits, ordered by (value,
-    index), give position p of value v the hit of rank first_hit(v) + p -
-    first_pos(v).
+    is looked up among the sorted low sums.
     """
     low_order = np.argsort(low)
     low = low[low_order]
-    vals = sums[positions]
-    wanted = np.sort(vals)  # deduplicated by hand: np.unique's first call takes ~20 ms
+    wanted = np.sort(values)  # deduplicated by hand: np.unique's first call takes ~20 ms
     wanted = wanted[np.concatenate(([True], wanted[1:] != wanted[:-1]))]
     need = (wanted[:, None] - tail[None, :]).ravel()
     lo = np.searchsorted(low, need, side="left")
     counts = np.searchsorted(low, need, side="right") - lo
-    hit_idx = low_order[_range_positions(lo, counts)] + np.repeat(
+    indices = low_order[_range_positions(lo, counts)] + np.repeat(
         np.tile(np.arange(len(tail)) * len(low), len(wanted)), counts
     )
-    hit_val = np.repeat(np.repeat(wanted, len(tail)), counts)
-    order = np.lexsort((hit_idx, hit_val))
-    hit_idx, hit_val = hit_idx[order], hit_val[order]
-    rank = np.searchsorted(hit_val, vals) + positions - np.searchsorted(sums, vals)
-    return hit_idx[rank]
+    return indices, np.repeat(np.repeat(wanted, len(tail)), counts)
 
 
 def _index_signs(count: int, index: int) -> list[int]:
     """The +1/-1 signs of a half's sign index: bit j means -1 at element j."""
     return [-1 if (index >> j) & 1 else 1 for j in range(count)]
-
-
-def _pair_signs(free_ns: list[int], li: int, ri: int) -> dict[int, int]:
-    """Signs of the pair (li, ri): left index li over free_ns[0::2], right
-    index ri over free_ns[1::2]."""
-    out: dict[int, int] = {}
-    for ns, index in ((free_ns[0::2], li), (free_ns[1::2], ri)):
-        out.update(zip(ns, _index_signs(len(ns), index)))
-    return out
 
 
 def _headroom_bits(heavy: Fraction, target: Fraction) -> int:
@@ -326,11 +310,14 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     reciprocal, so any pair whose true distance beats the fixed-point winner
     sits within 2*(m+2) ulps of it; the blocks that hold such a query are swept
     again to collect them, and each collected query's window of the right half
-    is shortlisted. Only the shortlisted sorted positions get their sign
-    indices, from _sorted_indices. Each shortlisted pair's distance to tau is
-    re-checked exactly, from rational_sum over each distinct half index's
-    signs, and the lexicographic minimum of (exact distance, left index, right
-    index) wins.
+    is shortlisted. A query's distance depends only on its value and a window
+    is a range of values, so the shortlist is closed under equal values: it
+    pairs every index of each collected left value with every index of each
+    right value in that value's window, and _value_indices looks those indices
+    up by value. Each shortlisted pair's distance to tau is re-checked exactly,
+    from rational_sum over each distinct half index's signs, and the
+    lexicographic minimum of (exact distance, left index, right index) wins.
+    Returns the +-1 signs aligned with free_ns, and the search info.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -364,7 +351,7 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
                 "shortlist_pairs": 1,
                 "fp_best_ulps": abs(tau_fp - total),
             }
-            return dict.fromkeys(free_ns[0::2] + free_ns[1::2], s), info
+            return [s] * len(free_ns), info
     left, *parts_l = _sorted_half(units[0::2])
     right, *parts_r = _sorted_half(units[1::2])
     queries = left[::-1]  # query i is tau - queries[i], ascending in i
@@ -386,30 +373,37 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     block_min = [int(block(k)[1].min()) for k in range(len(starts))]
     fp_best = min(block_min)
     thr = fp_best + 2 * (len(free_ns) + 2)
-    rows, needs = [], []
+    needs = []
     for k, least in enumerate(block_min):
         if least <= thr:
             need, dist = block(k)
-            hit = np.flatnonzero(dist <= thr)
-            rows.append(hit + starts[k])
-            needs.append(need[hit])
+            needs.append(need[dist <= thr])
     need = np.concatenate(needs)
     lo = np.searchsorted(right, need - thr, side="left")
     counts = np.searchsorted(right, need + thr, side="right") - lo
     n_pairs = int(counts.sum())
     if n_pairs > SHORTLIST_CAP:
         raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
-    pos_l = np.repeat(len(left) - 1 - np.concatenate(rows), counts)
-    pair_l = _sorted_indices(left, *parts_l, pos_l).tolist()
-    pair_r = _sorted_indices(right, *parts_r, _range_positions(lo, counts)).tolist()
+    # Pair every index of a collected left value with every index in its window.
+    idx_l, val_l = _value_indices(*parts_l, tau_fp - need)
+    idx_r, val_r = _value_indices(*parts_r, right[_range_positions(lo, counts)])
+    lo_r = np.searchsorted(val_r, tau_fp - val_l - thr, side="left")
+    hi_r = np.searchsorted(val_r, tau_fp - val_l + thr, side="right")
+    assert int((hi_r - lo_r).sum()) == n_pairs, "shortlist not closed under equal values"
+    idx_l, idx_r = idx_l.tolist(), idx_r.tolist()
 
     # Each distinct half index is summed once; a pair's distance is then
     # |L + (R - tau)|.
     ns_l, ns_r = free_ns[0::2], free_ns[1::2]
-    exact_l = {i: rational_sum(ns_l, _index_signs(len(ns_l), i)) for i in set(pair_l)}
-    gap_r = {j: rational_sum(ns_r, _index_signs(len(ns_r), j)) - tau for j in set(pair_r)}
-    _, li, ri = min((abs(exact_l[i] + gap_r[j]), i, j) for i, j in zip(pair_l, pair_r))
-    signs = _pair_signs(free_ns, li, ri)
+    exact_l = {i: rational_sum(ns_l, _index_signs(len(ns_l), i)) for i in idx_l}
+    gap_r = {j: rational_sum(ns_r, _index_signs(len(ns_r), j)) - tau for j in idx_r}
+    _, li, ri = min(
+        (abs(exact_l[i] + gap_r[j]), i, j)
+        for i, a, b in zip(idx_l, lo_r.tolist(), hi_r.tolist())
+        for j in idx_r[a:b]
+    )
+    signs = [0] * len(free_ns)
+    signs[0::2], signs[1::2] = _index_signs(len(ns_l), li), _index_signs(len(ns_r), ri)
     info = {
         "mode": "fixed_point",
         "scale_bits": p_bits,
@@ -441,27 +435,23 @@ def mitm_optimize(
         raise ValueError("max_free must be >= 1")
     t_start = time.perf_counter()
     x0 = Fraction(x0)
-    ns_all = [int(n) for n in a.values]
-    free_idx = _spread_indices(len(ns_all), min(max_free, len(ns_all)))
-    free_mask = np.zeros(len(ns_all), dtype=bool)
-    free_mask[free_idx] = True
-    free_ns = [ns_all[i] for i in free_idx]
-    fixed_sup = SupportSet(a.values[~free_mask])
-    if len(fixed_sup):
-        fixed_seq, fixed_sum = greedy_toward(fixed_sup, x0)
-    else:
-        fixed_seq, fixed_sum = None, Fraction(0)
-    tau = x0 - fixed_sum
-    free_signs, info = _mitm_fixed_point(free_ns, tau)
-    free_seq = SignSequence.from_pairs(free_signs.items())
-    seq = fixed_seq.merge(free_seq) if fixed_seq is not None else free_seq
+    free_mask = np.zeros(len(a), dtype=bool)
+    free_mask[_spread_indices(len(a), min(max_free, len(a)))] = True
+    free_ns = a.values[free_mask].tolist()
+    fixed_seq, fixed_sum = greedy_toward(SupportSet(a.values[~free_mask]), x0)
+    free_signs, info = _mitm_fixed_point(free_ns, x0 - fixed_sum)
+    signs = np.empty(len(a), dtype=np.int8)
+    signs[~free_mask] = fixed_seq.signs
+    signs[free_mask] = free_signs
     details = {
         "free_count": len(free_ns),
-        "fixed_count": len(fixed_sup),
+        "fixed_count": len(fixed_seq),
         "fixed_residual": x0 - fixed_sum,
         **info,
     }
-    return ConstructionReport._from_signs(seq, x0, target_eta, "MITM", seed, t_start, details)
+    return ConstructionReport._from_signs(
+        SignSequence(a, signs), x0, target_eta, "MITM", seed, t_start, details
+    )
 
 
 def randomized_search(

@@ -360,7 +360,6 @@ def log_mean_pipeline(
             fn = fn.with_overrides(dict(flip.signs.items()))
             s_top = flip.error + flip_target  # the error is the signed sum minus the target
         else:
-            fn = fn.with_overrides({int(p): fn.sign_at_prime(int(p)) for p in top_primes})
             notes.append(
                 f"top-block flip infeasible (deficit {float(flip.deficit):.3e}); "
                 "keeping seed signs"

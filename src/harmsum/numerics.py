@@ -70,10 +70,6 @@ class BigFixed:
             raise ValueError("err_ulps must be >= 0")
 
     @classmethod
-    def zero(cls, scale_bits: int) -> "BigFixed":
-        return cls(0, scale_bits, 0)
-
-    @classmethod
     def from_fraction(cls, value: Fraction, scale_bits: int) -> "BigFixed":
         value = Fraction(value)
         m, inexact = _round_nearest(value.numerator << scale_bits, value.denominator)

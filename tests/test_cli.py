@@ -254,6 +254,21 @@ def test_sieve_csv(tmp_path):
     assert cli.run(["sieve", "--limit", "100"]) == cli.EXIT_USAGE
 
 
+def test_sieve_rho_alone_ignores_the_limit(capsys):
+    # --limit past the sieve's cap is an error only for a table --psi reads.
+    assert cli.run(["sieve", "--limit", "300000000", "--rho", "5"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "u,rho_u" and len(lines) > 1
+
+
+def test_bare_sieve_exits_usage_without_building_a_table(monkeypatch):
+    def table(limit):  # run does not catch AssertionError
+        raise AssertionError(f"a table up to {limit} was built")
+
+    monkeypatch.setattr(cli, "SieveTable", table)
+    assert cli.run(["sieve"]) == cli.EXIT_USAGE
+
+
 def test_density_certificate_cli(tmp_path):
     out = tmp_path / "cert.json"
     prof = tmp_path / "profile.csv"
@@ -385,6 +400,26 @@ def test_config_does_not_reach_the_next_call(tmp_path):
     a, b = (json.loads(p.read_text())["config"] for p in (first, second))
     assert (a["seed"], a["max_free"]) == (99, 20)
     assert (b["seed"], b["max_free"]) == (0, 48)
+
+
+# A flag on the command line wins over --config, whichever spelling of the key
+# the config uses and however argparse is given the flag: whole, as an
+# abbreviation, or with its value after "=".
+@pytest.mark.parametrize("key", ["max_free", "max-free"])
+@pytest.mark.parametrize("flag", [["--max-free", "30"], ["--max-fr", "30"], ["--max-free=30"]])
+def test_config_does_not_override_a_given_flag(tmp_path, key, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 20}))
+    argv = ["--config", str(cfg), "construct", "--interval", "1..60", "--method", "mitm"]
+    assert cli._parse_args(argv + flag).max_free == 30
+
+
+def test_config_fills_a_flag_that_a_given_one_only_prefixes(tmp_path):
+    # --seed is given whole; it is also a prefix of --seed-rule, which is not.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed-rule": "chi3_star", "seed": 5}))
+    args = cli._parse_args(["--config", str(cfg), "pipeline", "--seed", "3"])
+    assert (args.seed, args.seed_rule) == (3, "chi3_star")
 
 
 def _masked_wall_time(text: str) -> str:

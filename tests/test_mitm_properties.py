@@ -1,6 +1,6 @@
 """Property tests: the int64 sorted-halves MITM kernel against brute force,
 at its own block and tail sizes and at tiny ones, its forced-sign exit, its
-value-only half sums, the sign indices it recovers by value, its memory, and
+value-only half sums, the sign indices it looks up by value, its memory, and
 the signs of an all-free mitm_optimize."""
 
 import math
@@ -74,7 +74,7 @@ def _assert_kernel_matches(free_ns: list[int], tau: Fraction) -> int:
     for block, tail in KERNEL_SIZES:
         with mock.patch.multiple(ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
-        assert signs == expected
+        assert dict(zip(free_ns, signs)) == expected
         fp = _fixed_point_pair_distances(free_ns, tau, info["scale_bits"])
         assert info["fp_best_ulps"] == fp.min()
         margin = 2 * (len(free_ns) + 2)
@@ -134,7 +134,7 @@ def test_mitm_fixed_point_matches_brute_force_far_target(free_ns, tau, sign):
     _assert_kernel_matches(free_ns, near)
     signs, info = ctor._mitm_fixed_point(free_ns, tau)
     assert (signs, info) == ctor._mitm_fixed_point(free_ns, near)
-    assert signs == _brute_force(free_ns, tau)[1]
+    assert dict(zip(free_ns, signs)) == _brute_force(free_ns, tau)[1]
 
 
 # Targets on or past the reach H of the free set, |tau| in [H, 2^21): the
@@ -183,7 +183,7 @@ def test_forced_target_builds_no_half():
     with mock.patch.object(ctor, "_sorted_half", boom):
         for tau in (reach, -reach - Fraction(1, 3), Fraction(2**30)):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
-            assert signs == dict.fromkeys(free_ns, 1 if tau > 0 else -1)
+            assert signs == [1 if tau > 0 else -1] * len(free_ns)
             assert info["shortlist_pairs"] == 1
     assert not boom.called
 
@@ -250,8 +250,8 @@ def test_half_sums_match_signed_subset_sums(units):
 
 
 # Units drawn from a few small values (zeros and repeats included) make most
-# half sums tied, so positions sharing one value must take that value's
-# indices in ascending order, as a stable argsort places them.
+# half sums tied, so one value can stand for many sign indices, and the lookup
+# must return all of them, for values asked for in any order and repeated.
 @PROPERTY_SETTINGS
 @given(
     st.one_of(
@@ -261,36 +261,52 @@ def test_half_sums_match_signed_subset_sums(units):
     st.integers(0, 4),
     st.data(),
 )
-def test_sorted_indices_match_stable_argsort(units, tail, data):
+def test_value_indices_return_every_index_of_each_value(units, tail, data):
     units = np.asarray(units, dtype=np.int64)
     unsorted = numerics._half_sums(units)
-    expected = np.argsort(unsorted, kind="stable")
     with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
         sums, low, tail_sums = ctor._sorted_half(units)
     assert sums.tolist() == np.sort(unsorted).tolist()
-    positions = np.asarray(
-        data.draw(st.lists(st.integers(0, len(sums) - 1), min_size=1, max_size=40)),
-        dtype=np.int64,
-    )
-    got = ctor._sorted_indices(sums, low, tail_sums, positions)
-    assert got.tolist() == expected[positions].tolist()
+    asked = unsorted[
+        data.draw(st.lists(st.integers(0, len(unsorted) - 1), min_size=1, max_size=40))
+    ]
+    indices, values = ctor._value_indices(low, tail_sums, asked)
+    assert values.tolist() == sorted(values.tolist())
+    assert set(values.tolist()) == set(asked.tolist())
+    for v in set(asked.tolist()):
+        got = np.sort(indices[values == v])
+        assert got.tolist() == np.flatnonzero(unsorted == v).tolist()
 
 
 def test_shortlist_recheck_on_a_large_tied_shortlist():
     """[1, 40] toward 0 shortlists 3 328 pairs, most of them sharing a left
     index. The kernel's pick is the lexicographic minimum of (exact distance,
-    left index, right index) over exactly the pairs it shortlisted, each
-    re-checked here over all 40 terms on the common denominator."""
+    left index, right index) over exactly the pairs within the shortlist
+    margin of the least fixed-point distance, found here by sorting the
+    right half's sums and searching each left sum's window in them; each pair
+    is re-checked over all 40 terms on the common denominator."""
     free_ns, tau = list(range(1, 41)), Fraction(0)
-    found, original = [], ctor._sorted_indices
-
-    def recording(*args):
-        found.append(original(*args).tolist())
-        return np.asarray(found[-1], dtype=np.int64)
-
-    with mock.patch.object(ctor, "_sorted_indices", recording):
-        signs, info = ctor._mitm_fixed_point(free_ns, tau)
-    pairs = list(zip(*found))
+    signs, info = ctor._mitm_fixed_point(free_ns, tau)
+    assert info == {
+        "mode": "fixed_point",
+        "scale_bits": 58,
+        "shortlist_pairs": 3328,
+        "fp_best_ulps": 2035317356,
+    }
+    # tau = 0, so a pair's fixed-point distance is |L + R|.
+    units = rounded_units(free_ns, info["scale_bits"])[0]
+    left, right = numerics._half_sums(units[0::2]), numerics._half_sums(units[1::2])
+    order = np.argsort(right)
+    right_sorted = right[order]
+    pos = np.searchsorted(right_sorted, -left).clip(1, len(right) - 1)
+    fp_best = min(np.abs(right_sorted[p] + left).min() for p in (pos, pos - 1))
+    assert fp_best == info["fp_best_ulps"]
+    thr = fp_best + 2 * (len(free_ns) + 2)
+    lo = np.searchsorted(right_sorted, -left - thr, side="left")
+    hi = np.searchsorted(right_sorted, -left + thr, side="right")
+    pairs = [
+        (i, j) for i in np.flatnonzero(hi > lo).tolist() for j in order[lo[i] : hi[i]].tolist()
+    ]
     den = math.lcm(*free_ns)
     halves = (free_ns[0::2], free_ns[1::2])
 
@@ -300,13 +316,8 @@ def test_shortlist_recheck_on_a_large_tied_shortlist():
     _, li, ri = min(
         (abs(scaled(halves[0], i) + scaled(halves[1], j)), i, j) for i, j in pairs
     )
-    assert signs == {**_half_signs(halves[0], li), **_half_signs(halves[1], ri)}
-    assert info == {
-        "mode": "fixed_point",
-        "scale_bits": 58,
-        "shortlist_pairs": 3328,
-        "fp_best_ulps": 2035317356,
-    }
+    expected = {**_half_signs(halves[0], li), **_half_signs(halves[1], ri)}
+    assert dict(zip(free_ns, signs)) == expected
     assert len(pairs) == 3328 and len({i for i, _ in pairs}) < len(pairs) // 4
 
 
