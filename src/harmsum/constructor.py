@@ -246,27 +246,39 @@ def _range_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + shift
 
 
-def _sorted_half(units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted _half_sums of `units`, low sums, tail sums).
+def _positive_half(units: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """(sorted positive _half_sums of `units`, count of zero sums, low sums,
+    tail sums).
 
-    The half is built from its parts: every half index is a low index over all
-    but the last MITM_TAIL_UNITS units plus a tail index over those, so
-    (tail[:, None] + low[None, :]).ravel() is _half_sums(units) entry for
-    entry. _value_indices looks sign indices up in the same parts.
+    Flipping every bit of a sign index negates its sum, so the half's sums
+    sorted are -pos[::-1], then `zeros` zeros, then pos: only pos is kept and
+    sorted, 2^(m-1) entries at most. The half is built from its parts: every
+    half index is a low index over all but the last MITM_TAIL_UNITS units plus
+    a tail index over those, so (tail[:, None] + low[None, :]).ravel() is
+    _half_sums(units) entry for entry. Over the longer part sorted, each sum t
+    of the other part has its positive sums in one suffix, added to t straight
+    into pos. _value_indices looks sign indices up in the same parts.
     """
     k = max(len(units) - MITM_TAIL_UNITS, 0)
     low, tail = _half_sums(units[:k]), _half_sums(units[k:])
-    sums = (tail[:, None] + low[None, :]).ravel()
-    sums.sort()
-    return sums, low, tail
+    inner, outer = (low, tail) if len(low) >= len(tail) else (tail, low)
+    inner = np.sort(inner)
+    pos = np.empty(len(inner) * len(outer) // 2, dtype=np.int64)
+    n = 0
+    for t, cut in zip(outer.tolist(), np.searchsorted(inner, -outer, side="right").tolist()):
+        np.add(inner[cut:], t, out=pos[n : n + len(inner) - cut])
+        n += len(inner) - cut
+    pos = pos[:n]
+    pos.sort()
+    return pos, len(inner) * len(outer) - 2 * n, low, tail
 
 
 def _value_indices(
     low: np.ndarray, tail: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, sums): every sign index whose sum is among `values`, with its
-    sum, in the half with these low and tail sums from _sorted_half. The sums
-    come out ascending.
+    sum, in the half with these low and tail sums from _positive_half. The
+    sums come out ascending.
 
     A small meet-in-the-middle by value: each wanted value minus each tail sum
     is looked up among the sorted low sums.
@@ -282,6 +294,22 @@ def _value_indices(
         np.tile(np.arange(len(tail)) * len(low), len(wanted)), counts
     )
     return indices, np.repeat(np.repeat(wanted, len(tail)), counts)
+
+
+def _distance_to_half(x: np.ndarray, near: np.ndarray, zeros: int) -> np.ndarray:
+    """Distance from each x >= 0 to the nearest sum of a half with `zeros`
+    zero sums, `near` being the slice of its sorted positive sums that holds
+    each x's neighbours. The half's sums are symmetric about 0, and for
+    x >= 0 the mirror -p of a positive sum p is never nearer than p."""
+    if not len(near):  # no positive sums: every sum of the half is 0
+        return x.copy()
+    at = np.searchsorted(near, x)
+    dist = np.abs(near.take(at, mode="clip") - x)
+    at -= 1
+    np.minimum(dist, np.abs(x - near.take(at, mode="clip")), out=dist)
+    if zeros:
+        np.minimum(dist, x, out=dist)
+    return dist
 
 
 def _index_signs(count: int, index: int) -> list[int]:
@@ -301,23 +329,30 @@ def _headroom_bits(heavy: Fraction, target: Fraction) -> int:
 def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
-    Sorted-halves sweep (Horowitz and Sahni, 1974): each half's 2^m signed
-    sums are built as values only, by _sorted_half, and sorted in place. The
-    reversed left half gives ascending queries tau - L, swept in blocks of
-    MITM_BLOCK: a block is searched in its own slice of the right half,
-    between the cuts of its first query and of the next block's, and keeps
-    only its minimum distance. Rounding costs at most half an ulp per
-    reciprocal, so any pair whose true distance beats the fixed-point winner
-    sits within 2*(m+2) ulps of it; the blocks that hold such a query are swept
-    again to collect them, and each collected query's window of the right half
-    is shortlisted. A query's distance depends only on its value and a window
-    is a range of values, so the shortlist is closed under equal values: it
-    pairs every index of each collected left value with every index of each
-    right value in that value's window, and _value_indices looks those indices
-    up by value. Each shortlisted pair's distance to tau is re-checked exactly,
-    from rational_sum over each distinct half index's signs, and the
-    lexicographic minimum of (exact distance, left index, right index) wins.
-    Returns the +-1 signs aligned with free_ns, and the search info.
+    Sorted-halves sweep (Horowitz and Sahni, 1974) over half sums that are
+    symmetric about 0: flipping every sign negates a sum, so _positive_half
+    keeps and sorts only each half's positive sums, with a count of its zero
+    sums. A query tau - L lies as far from the right half as |tau - L| does,
+    and over the left sums -p, 0 and p that distance is swept along three
+    ascending runs of the left positive sums, a + p, a - p and p - a with
+    a = |tau|, and the one query a. Each run goes in blocks of MITM_BLOCK: a
+    block is searched in its own slice of the right positive sums, between
+    the cuts of its first query and of the next block's, and keeps only its
+    minimum distance; a right sum on the far side of 0 is never nearer.
+    Rounding costs at most half an ulp per reciprocal, so any pair whose true
+    distance beats the fixed-point winner sits within 2*(m+2) ulps of it; the
+    blocks that hold such a query are swept again to collect them, and each
+    collected query's window of the right half, its positive sums, their
+    mirrors and its zeros, is shortlisted. A query's distance depends only on
+    its value and a window is a range of values, so the shortlist is closed
+    under equal values: it pairs every index of each collected left value with
+    every index of each right value in that value's window, and _value_indices
+    looks those indices up by value; a pair count that differs from the
+    window count raises RuntimeError. Each shortlisted pair's distance to tau
+    is re-checked exactly, from rational_sum over each distinct half index's
+    signs, and the lexicographic minimum of (exact distance, left index, right
+    index) wins. Returns the +-1 signs aligned with free_ns, and the search
+    info.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -352,44 +387,71 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
                 "fp_best_ulps": abs(tau_fp - total),
             }
             return [s] * len(free_ns), info
-    left, *parts_l = _sorted_half(units[0::2])
-    right, *parts_r = _sorted_half(units[1::2])
-    queries = left[::-1]  # query i is tau - queries[i], ascending in i
-    starts = range(0, len(queries), MITM_BLOCK)
-    cuts = np.searchsorted(right, tau_fp - queries[::MITM_BLOCK]).tolist() + [len(right)]
+    pos_l, zeros_l, *parts_l = _positive_half(units[0::2])
+    pos_r, zeros_r, *parts_r = _positive_half(units[1::2])
+    # The left sums are -p, 0 (zeros_l times) and p over p in pos_l, so the
+    # queries' |tau - L| are a + p, a and |a - p|, a = |tau_fp|: three runs
+    # x = sx*p + off ascending in x, cut from pos_l at p = a, and one zero
+    # block of weight zeros_l. A block is (p, sx, off, sign of p in L, its cut
+    # and the next block's cut in pos_r, weight).
+    a, sign = abs(tau_fp), 1 if tau_fp >= 0 else -1
+    split = int(np.searchsorted(pos_l, a))
+    blocks = []
+    for run, sx, off, sl in (
+        (pos_l, 1, a, -sign),
+        (pos_l[:split][::-1], -1, a, sign),
+        (pos_l[split:], 1, -a, sign),
+    ):
+        cuts = np.searchsorted(pos_r, sx * run[::MITM_BLOCK] + off).tolist() + [len(pos_r)]
+        blocks += [
+            (run[i : i + MITM_BLOCK], sx, off, sl, cuts[k], cuts[k + 1], 1)
+            for k, i in enumerate(range(0, len(run), MITM_BLOCK))
+        ]
+    if zeros_l:
+        cut = int(np.searchsorted(pos_r, a))
+        blocks.append((np.zeros(1, dtype=np.int64), 1, a, 1, cut, cut, zeros_l))
 
-    def block(k: int) -> tuple[np.ndarray, np.ndarray]:
-        # The slice keeps right[cut - 1], the pos - 1 neighbour of the
-        # block's first query, and right[next cut], the pos neighbour of
-        # its last one.
-        need = tau_fp - queries[starts[k] : starts[k] + MITM_BLOCK]
-        near = right[max(cuts[k] - 1, 0) : cuts[k + 1] + 1]
-        pos = np.searchsorted(near, need)
-        dist = np.abs(near.take(pos, mode="clip") - need)
-        pos -= 1
-        np.minimum(dist, np.abs(need - near.take(pos, mode="clip")), out=dist)
-        return need, dist
+    def sweep(block: tuple) -> tuple[np.ndarray, np.ndarray]:
+        # The slice keeps pos_r[cut - 1], the pos - 1 neighbour of the
+        # block's first x, and pos_r[next cut], the pos neighbour of its last.
+        p, sx, off, _, cut, next_cut, _ = block
+        x = sx * p + off
+        return x, _distance_to_half(x, pos_r[max(cut - 1, 0) : next_cut + 1], zeros_r)
 
-    block_min = [int(block(k)[1].min()) for k in range(len(starts))]
+    block_min = [int(sweep(b)[1].min()) for b in blocks]
     fp_best = min(block_min)
     thr = fp_best + 2 * (len(free_ns) + 2)
-    needs = []
-    for k, least in enumerate(block_min):
+    kept = []
+    for block, least in zip(blocks, block_min):
         if least <= thr:
-            need, dist = block(k)
-            needs.append(need[dist <= thr])
-    need = np.concatenate(needs)
-    lo = np.searchsorted(right, need - thr, side="left")
-    counts = np.searchsorted(right, need + thr, side="right") - lo
-    n_pairs = int(counts.sum())
+            p, _, _, sl, _, _, weight = block
+            x, dist = sweep(block)
+            near = dist <= thr
+            kept.append((x[near], sl * p[near], np.full(np.count_nonzero(near), weight)))
+    x, left, weight = (np.concatenate(parts) for parts in zip(*kept))
+    # The right sums in the window of the query q = tau - L, g = sign(q), are
+    # g*p for p in pos_r within thr of x = |q|, their mirrors -g*p for
+    # p <= thr - x, and the zeros when x <= thr.
+    over_lo = np.searchsorted(pos_r, x - thr, side="left")
+    over = np.searchsorted(pos_r, x + thr, side="right") - over_lo
+    under = np.searchsorted(pos_r, thr - x, side="right")
+    at_zero = zeros_r * (x <= thr)
+    n_pairs = int((weight * (over + under + at_zero)).sum())
     if n_pairs > SHORTLIST_CAP:
         raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
+    g = np.where(left <= tau_fp, 1, -1)
+    right_values = np.concatenate((
+        np.repeat(g, over) * pos_r[_range_positions(over_lo, over)],
+        np.repeat(-g, under) * pos_r[_range_positions(np.zeros_like(under), under)],
+        np.zeros(int(at_zero.any()), dtype=np.int64),
+    ))
     # Pair every index of a collected left value with every index in its window.
-    idx_l, val_l = _value_indices(*parts_l, tau_fp - need)
-    idx_r, val_r = _value_indices(*parts_r, right[_range_positions(lo, counts)])
+    idx_l, val_l = _value_indices(*parts_l, left)
+    idx_r, val_r = _value_indices(*parts_r, right_values)
     lo_r = np.searchsorted(val_r, tau_fp - val_l - thr, side="left")
     hi_r = np.searchsorted(val_r, tau_fp - val_l + thr, side="right")
-    assert int((hi_r - lo_r).sum()) == n_pairs, "shortlist not closed under equal values"
+    if int((hi_r - lo_r).sum()) != n_pairs:
+        raise RuntimeError("meet-in-the-middle shortlist not closed under equal values")
     idx_l, idx_r = idx_l.tolist(), idx_r.tolist()
 
     # Each distinct half index is summed once; a pair's distance is then

@@ -1,7 +1,9 @@
 """Property tests: the int64 sorted-halves MITM kernel against brute force,
-at its own block and tail sizes and at tiny ones, its forced-sign exit, its
-value-only half sums, the sign indices it looks up by value, its memory, and
-the signs of an all-free mitm_optimize."""
+at its own block and tail sizes and at tiny ones, on halves with exact zero
+sums, windows across 0 and an empty right half, its forced-sign exit, the
+half sums it builds (only the positive ones, sorted, and a count of zeros),
+the sign indices it looks up by value and the check that they close the
+shortlist, its memory, and the signs of an all-free mitm_optimize."""
 
 import math
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,10 +102,60 @@ small_taus = st.one_of(
 )
 
 
+# 1/2 = 1/3 + 1/6 and 1/8 = 1/12 + 1/24 hold exactly in fixed point at any
+# scale: 2^p/3 and 2^p/6 round in opposite directions by a third of an ulp.
+# Placed at even positions a triple gives the left half exact zero sums, at
+# odd ones the right half. EDGE_CASES pins what each example reaches.
+ZERO_LEFT = [2, 5, 3, 7, 6]
+ZERO_RIGHT = [5, 2, 7, 3, 11, 6]
+ZERO_BOTH = [2, 8, 3, 12, 6, 24]
+# Two tie groups whose halves both hold sums within a few ulps of 0: at
+# tau = 0 the right windows straddle 0 and take right sums of both signs.
+STRADDLE = [5, 7, 10, 14, 15, 21, 30, 42]
+EDGE_CASES = [  # (free_ns, tau, left zeros, right zeros, straddles, right sums across 0)
+    (ZERO_LEFT, Fraction(0), 2, 0, False, False),
+    (ZERO_RIGHT, Fraction(0), 0, 2, True, False),
+    (ZERO_BOTH, Fraction(0), 2, 2, True, False),
+    (STRADDLE, Fraction(0), 0, 0, True, True),
+    ([7], Fraction(1, 20), 0, 1, True, False),  # empty right half: its one sum is 0
+    ([3, 5], Fraction(-1, 9), 0, 0, False, False),
+]
+
+
 @PROPERTY_SETTINGS
 @given(tie_heavy_sets, small_taus)
+@example(ZERO_LEFT, Fraction(0))
+@example(ZERO_LEFT, Fraction(1, 5))
+@example(ZERO_RIGHT, Fraction(0))
+@example(ZERO_RIGHT, Fraction(-1, 7))
+@example(ZERO_BOTH, Fraction(0))
+@example(STRADDLE, Fraction(0))
+@example([7], Fraction(0))
+@example([7], Fraction(1, 20))
+@example([3, 5], Fraction(0))
+@example([3, 5], Fraction(-1, 9))
 def test_mitm_fixed_point_matches_brute_force_tie_heavy(free_ns, tau):
     _assert_kernel_matches(free_ns, tau)
+
+
+@pytest.mark.parametrize("free_ns, tau, zeros_l, zeros_r, straddles, across", EDGE_CASES)
+def test_edge_examples_reach_their_cases(free_ns, tau, zeros_l, zeros_r, straddles, across):
+    """Each example above has the stated exact zero half sums at the kernel's
+    scale; a straddling one shortlists a query q = tau - L with |q| within
+    the margin, so its right window holds 0, and the last flag says whether
+    a shortlisted right sum lies on the far side of 0 from its query."""
+    _, info = ctor._mitm_fixed_point(free_ns, tau)
+    units = rounded_units(free_ns, info["scale_bits"])[0].tolist()
+    tau_fp = _round_nearest(tau.numerator << info["scale_bits"], tau.denominator)[0]
+    left = np.asarray(_signed_sums(units[0::2]), dtype=np.int64)
+    right = np.asarray(_signed_sums(units[1::2]), dtype=np.int64)
+    assert (np.count_nonzero(left == 0), np.count_nonzero(right == 0)) == (zeros_l, zeros_r)
+    fp = np.abs(left[:, None] + right[None, :] - tau_fp)
+    thr = fp.min() + 2 * (len(free_ns) + 2)
+    li, ri = np.nonzero(fp <= thr)
+    q, r = tau_fp - left[li], right[ri]
+    assert bool(np.any(np.abs(q) <= thr)) == straddles
+    assert bool(np.any(q * r < 0)) == across
 
 
 # mitm_optimize runs the kernel for every free count, so an all-free search
@@ -180,7 +233,7 @@ def test_forced_target_builds_no_half():
     free_ns = list(range(2, 45))
     reach = sum(Fraction(1, n) for n in free_ns)
     boom = mock.Mock(side_effect=AssertionError("the sweep ran"))
-    with mock.patch.object(ctor, "_sorted_half", boom):
+    with mock.patch.object(ctor, "_positive_half", boom):
         for tau in (reach, -reach - Fraction(1, 3), Fraction(2**30)):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
             assert signs == [1 if tau > 0 else -1] * len(free_ns)
@@ -265,8 +318,9 @@ def test_value_indices_return_every_index_of_each_value(units, tail, data):
     units = np.asarray(units, dtype=np.int64)
     unsorted = numerics._half_sums(units)
     with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
-        sums, low, tail_sums = ctor._sorted_half(units)
-    assert sums.tolist() == np.sort(unsorted).tolist()
+        pos, zeros, low, tail_sums = ctor._positive_half(units)
+    mirrored = np.concatenate((-pos[::-1], np.zeros(zeros, dtype=np.int64), pos))
+    assert mirrored.tolist() == np.sort(unsorted).tolist()
     asked = unsorted[
         data.draw(st.lists(st.integers(0, len(unsorted) - 1), min_size=1, max_size=40))
     ]
@@ -276,6 +330,22 @@ def test_value_indices_return_every_index_of_each_value(units, tail, data):
     for v in set(asked.tolist()):
         got = np.sort(indices[values == v])
         assert got.tolist() == np.flatnonzero(unsorted == v).tolist()
+
+
+def test_a_lookup_that_drops_an_index_raises():
+    """The pair count by value must equal the shortlist's window count; a
+    lookup that loses one sign index breaks it on either half, and the kernel
+    raises rather than pick from an incomplete shortlist (even under -O)."""
+    lookup = ctor._value_indices
+
+    def drop_last(low, tail, values):
+        indices, sums = lookup(low, tail, values)
+        return indices[:-1], sums[:-1]
+
+    for free_ns, tau in ((STRADDLE, Fraction(0)), (list(range(2, 22)), Fraction(1, 9))):
+        with mock.patch.object(ctor, "_value_indices", drop_last):
+            with pytest.raises(RuntimeError, match="not closed under equal values"):
+                ctor._mitm_fixed_point(free_ns, tau)
 
 
 def test_shortlist_recheck_on_a_large_tied_shortlist():
@@ -339,3 +409,21 @@ def test_kernel_memory_stays_near_two_halves():
     finally:
         tracemalloc.stop()
     assert peak < 4 * half_bytes + (1 << 20)
+
+
+def test_kernel_memory_stays_near_one_half():
+    """40 free elements give halves of 2^20 int64 sums (8 MiB each). The
+    kernel keeps only each half's positive sums, half a half apiece, and
+    peaks near 1.1 halves; one that holds both whole halves peaks near 2.1."""
+    rng = random.Random(5)
+    free_ns = sorted(rng.sample(range(100, 3000), 40))
+    tau = Fraction(1, 70)
+    assert abs(tau) < sum(Fraction(1, n) for n in free_ns)
+    half_bytes = (1 << 20) * 8
+    tracemalloc.start()
+    try:
+        ctor._mitm_fixed_point(free_ns, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * half_bytes
