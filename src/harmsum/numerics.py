@@ -26,7 +26,26 @@ if TYPE_CHECKING:
 DEFAULT_LCM_BIT_BUDGET = 8_000_000
 # rational_sum adds its first terms in blocks of this many with small integers.
 _LEAF_TERMS = 8
+# rational_sum splits its terms by their prime factor above sqrt(max) once the
+# bit lengths of the n's sum to this many bits. Below it the product tree alone
+# is as fast or faster: the two break even near 10 000 to 16 000 bits on [1, N]
+# and on supports with up to 16 values per term.
+_SPLIT_MIN_BITS = 16_000
+# The split looks prime factors up in an int32 table over [0, max(ns)]. It is
+# built only for max(ns) up to _FACTOR_TABLE_MAX and at most _TABLE_PER_TERM
+# entries per term, so its size follows the support and not one large value.
+_FACTOR_TABLE_MAX = 1 << 21
+_TABLE_PER_TERM = 16
 _LOG2_10 = math.log2(10)
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num/den for coprime num and den > 0, without Fraction's gcd."""
+        return Fraction(num, den, _normalize=False)
 
 
 class ResourceBudgetError(Exception):
@@ -372,20 +391,33 @@ def _half_sums(units: np.ndarray) -> np.ndarray:
 def rational_sum(ns, signs) -> Fraction:
     """Exact sum of s/n over paired ns and +1/-1 signs, as a reduced rational.
 
-    Binary splitting (Haible and Papanikolaou, 1998): blocks of _LEAF_TERMS
-    terms are added with small integers into (p, q) with q the product of
-    their n's, then neighbours merge pairwise over q1 * q2 / gcd(q1, q2), so
-    a node's denominator stays near the lcm of its n's. One final Fraction
-    reduces the result.
+    Sums under _SPLIT_MIN_BITS, and sums the factor table does not reach,
+    go through one product tree (_tree_sum). Larger ones are split by the
+    anatomy of integers (_split_sum): each n <= max has at most one prime
+    factor above sqrt(max), and only to the first power.
     """
-    ns = ns.tolist() if isinstance(ns, np.ndarray) else [int(n) for n in ns]
+    ns = ns.tolist() if isinstance(ns, np.ndarray) else list(map(int, ns))
     signs = signs.tolist() if isinstance(signs, np.ndarray) else list(signs)
     if len(ns) != len(signs):
         raise ValueError("ns and signs differ in length")
-    if sum(map(int.bit_length, ns)) > DEFAULT_LCM_BIT_BUDGET:
+    bits = sum(map(int.bit_length, ns))
+    if bits > DEFAULT_LCM_BIT_BUDGET:
         raise ResourceBudgetError(
             f"product of the denominators exceeds {DEFAULT_LCM_BIT_BUDGET} bits"
         )
+    if bits >= _SPLIT_MIN_BITS and min(ns) >= 1:
+        top = max(ns)
+        if top <= min(_FACTOR_TABLE_MAX, _TABLE_PER_TERM * len(ns)):
+            return _split_sum(ns, signs, top)
+    return _tree_sum(ns, signs)
+
+
+def _tree_sum(ns: list[int], signs: list) -> Fraction:
+    """Binary splitting (Haible and Papanikolaou, 1998): blocks of _LEAF_TERMS
+    terms are added with small integers into (p, q) with q the product of
+    their n's, then neighbours merge pairwise over q1 * q2 / gcd(q1, q2), so
+    a node's denominator stays near the lcm of its n's. One final Fraction
+    reduces the result."""
     nodes = []
     for i in range(0, len(ns), _LEAF_TERMS):
         p, q = 0, 1
@@ -403,6 +435,83 @@ def rational_sum(ns, signs) -> Fraction:
             merged.append(nodes[-1])
         nodes = merged
     return Fraction(*nodes[0]) if nodes else Fraction(0)
+
+
+def _large_prime_table(top: int) -> tuple[np.ndarray, list[int]]:
+    """An int32 table over [0, top] holding the prime factor of n above
+    r = isqrt(top), or 0 when n has none, and the primes up to r."""
+    r = math.isqrt(top)
+    is_prime = np.ones(top + 1, dtype=bool)
+    is_prime[:2] = False
+    for q in range(2, r + 1):
+        if is_prime[q]:
+            is_prime[q * q :: q] = False
+    small = np.flatnonzero(is_prime[: r + 1]).tolist()
+    large = np.flatnonzero(is_prime[r + 1 :]).astype(np.int32) + (r + 1)
+    del is_prime
+    # n = p * m with m <= r for every such p: pair each m with the large
+    # primes up to top // m, in one scatter
+    counts = np.searchsorted(large, top // np.arange(1, r + 1), side="right")
+    ms = np.repeat(np.arange(1, r + 1, dtype=np.int32), counts)
+    ps = large[np.arange(len(ms)) - np.repeat(np.cumsum(counts) - counts, counts)]
+    table = np.zeros(top + 1, dtype=np.int32)
+    table[ps * ms] = ps
+    return table, small
+
+
+def _split_sum(ns: list[int], signs: list, top: int) -> Fraction:
+    """Exact sum of s/n for 1 <= n <= top, split by each n's prime factor
+    above r = isqrt(top).
+
+    Such a p divides n once, as n = p * m with m <= r. Every r-smooth n and
+    every m divides L, the lcm of the r-smooth numbers up to top, so the sum
+    is (S + sum over p of A_p / p) / L: S sums s * L/n over the r-smooth n
+    and A_p sums s * L/m over p's terms, each a division by a small integer.
+    A p that divides A_p moves A_p / p into S. The other A_p / p merge in a
+    product tree over distinct primes, which needs no gcd. Their product Q
+    is prime to the numerator, since p divides neither L nor A_p, so one gcd
+    with L reduces the result.
+    """
+    table, small = _large_prime_table(top)
+    sn = np.asarray(ns, dtype=np.int32)
+    keys = table[sn]
+    del table
+    sn = np.where(np.asarray(signs) > 0, sn, -sn)  # s * n
+    smooth = keys == 0
+    lcm = 1
+    for q in small:
+        qe = q
+        while qe * q <= top:
+            qe *= q
+        lcm *= qe
+    total = sum(map(lcm.__floordiv__, sn[smooth].tolist()))
+
+    keys, sn = keys[~smooth], sn[~smooth]
+    order = np.argsort(keys)
+    keys = keys[order]
+    sm = sn[order] // keys  # s * m, exact since p divides n
+    del sn, order
+    # weights[-m] = -L/m, so weights[sm] is s * L/m
+    w = [lcm // m for m in range(1, math.isqrt(top) + 1)]
+    weights = np.array([0, *w, *(-x for x in reversed(w))], dtype=object)
+    starts = np.flatnonzero(np.diff(keys, prepend=0))
+    sums = np.add.reduceat(weights[sm], starts).tolist() if len(starts) else []
+    nodes = []
+    for a, p in zip(sums, keys[starts].tolist()):
+        if a % p:
+            nodes.append((a, p))
+        else:
+            total += a // p
+    while len(nodes) > 1:
+        pairs = zip(nodes[0::2], nodes[1::2])
+        merged = [(a1 * q2 + a2 * q1, q1 * q2) for (a1, q1), (a2, q2) in pairs]
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    a, q = nodes[0] if nodes else (0, 1)
+    num = total * q + a
+    g = math.gcd(num, lcm)
+    return _coprime_fraction(num // g, lcm // g * q)
 
 
 def exact_rational_sum(signs: SignSequence) -> Fraction:

@@ -161,14 +161,6 @@ class SignSequence:
         self.signs = arr
 
     @classmethod
-    def from_pairs(cls, pairs) -> "SignSequence":
-        pairs = sorted(pairs)
-        sup = SupportSet([n for n, _ in pairs])
-        if len(sup) != len(pairs):
-            raise ValueError("duplicate support elements")
-        return cls(sup, np.asarray([s for _, s in pairs], dtype=np.int8))
-
-    @classmethod
     def constant(cls, support: SupportSet, sign: int = 1) -> "SignSequence":
         return cls(support, np.full(len(support), sign, dtype=np.int8))
 

@@ -233,9 +233,10 @@ def test_criterion_09_multiplicative_pipeline(sieve16k):
 
     The bound clause is unattainable for any completely multiplicative sign
     function at these scales: flips of the all-minus pattern only add
-    positive mass while its own logarithmic means stay positive through 1e14,
-    so the best reachable values are L at the scales themselves (0.0187 and
-    0.0026). The pipeline lands exactly on that floor; the test asserts the
+    positive mass, and its own logarithmic means stay positive far past them
+    (Borwein, Ferguson and Mossinghoff, 2008, find the first negative
+    sum of lambda(n)/n over n <= x near x = 7.2e10), so the best reachable
+    values are L at the scales themselves (0.0187 and 0.0026). The pipeline lands exactly on that floor; the test asserts the
     stated tolerance regardless and fails honestly.
     """
     t0 = time.time()

@@ -3,7 +3,9 @@ helpers against Fraction references, the RLE round-trip, values_range and the
 record writer against json.dumps."""
 
 import json
+import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmsum import multiplicative as mult
+from harmsum import numerics
 from harmsum.numerics import (
     DEFAULT_LCM_BIT_BUDGET,
     BigFixed,
@@ -162,6 +165,108 @@ def test_rational_sum_guard_precedes_arithmetic():
     with pytest.raises(ResourceBudgetError):
         rational_sum(ns, [1] * len(ns))
     assert rational_sum(ns[:3], [1, 1, -1]) == Fraction(1, 1 << 62)
+
+
+def _tree_reference(ns, signs) -> Fraction:
+    """Sum of s/n for s = +1/-1 by the product tree alone: one (s, n) leaf per
+    term, neighbours merged over q1 * q2 / gcd(q1, q2)."""
+    nodes = [(s, n) for n, s in zip(ns, signs)]
+    while len(nodes) > 1:
+        merged = []
+        for (p1, q1), (p2, q2) in zip(nodes[0::2], nodes[1::2]):
+            g = math.gcd(q1, q2)
+            merged.append((p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2))
+        nodes = merged + nodes[len(merged) * 2 :]
+    return Fraction(*nodes[0]) if nodes else Fraction(0)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@st.composite
+def split_cases(draw):
+    """Terms up to `top` with repeats, optionally n = 1, the multiples of the
+    primes just above sqrt(top), and all-+1 or exactly cancelling signs. The
+    counts reach past numerics._SPLIT_MIN_BITS, so both paths are drawn."""
+    top = draw(st.integers(1, 6000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.one_of(st.integers(0, 60), st.integers(1500, 3000)))
+    ns = [rng.randint(1, top) for _ in range(count)]
+    if draw(st.booleans()):
+        ns += [1] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        r = math.isqrt(top)
+        ns += [p * m for p in range(r + 1, r + 30) if _is_prime(p) for m in range(1, top // p + 1)]
+    mode = draw(st.sampled_from(["random", "plus", "cancel"]))
+    if mode == "cancel":  # each term twice, with opposite signs: exactly 0
+        return ns + ns, [1] * len(ns) + [-1] * len(ns)
+    return ns, [1 if mode == "plus" else rng.choice((-1, 1)) for _ in ns]
+
+
+@PROPERTY_SETTINGS
+@given(split_cases())
+@example(([1], [1]))
+@example(([2, 3, 4], [1, -1, 1]))
+@example(([1, 2, 3, 6], [1, -1, -1, -1]))  # an exact zero
+@example((list(range(1, 2001)), [1] * 2000))
+def test_rational_sum_split_matches_tree(case):
+    ns, signs = case
+    exact = _tree_reference(ns, signs)
+    assert rational_sum(ns, signs) == exact
+    if ns:  # the split itself, below the cutoff as well
+        assert numerics._split_sum(ns, signs, max(ns)) == exact
+    if len(ns) <= 60:
+        assert exact == sum((Fraction(s, n) for n, s in zip(ns, signs)), Fraction(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, numerics._FACTOR_TABLE_MAX, 10**8]),
+    st.integers(1200, 1600),
+)
+def test_rational_sum_past_the_factor_table(seed, low, count):
+    # above the bit cutoff, but past the table's value bound, or under it
+    # with more than _TABLE_PER_TERM values per term (low = 1)
+    rng = random.Random(seed)
+    ns = [rng.randint(low, low + 10**6) for _ in range(count)]
+    ns += [rng.randint(1, 2 * 10**6) for _ in range(count)]
+    signs = [rng.choice((-1, 1)) for _ in ns]
+    assert sum(map(int.bit_length, ns)) >= numerics._SPLIT_MIN_BITS
+    assert rational_sum(ns, signs) == _tree_reference(ns, signs)
+
+
+def test_rational_sum_takes_the_split_above_the_cutoff(monkeypatch):
+    rng = random.Random(20_000)
+    ns = list(range(1, 20_001))
+    signs = [rng.choice((-1, 1)) for _ in ns]
+    exact = _tree_reference(ns, signs)
+    assert exact == numerics._tree_sum(ns, signs)
+
+    def no_tree(*args):
+        raise AssertionError("the product tree ran above the cutoff")
+
+    monkeypatch.setattr(numerics, "_tree_sum", no_tree)
+    assert rational_sum(ns, signs) == exact
+    assert rational_sum(np.array(ns), np.array(signs, dtype=np.int8)) == exact
+
+
+def test_rational_sum_allocates_nothing_sized_by_its_values():
+    rng = random.Random(7)
+    cases = [
+        [10**8 + i for i in range(100)],
+        [numerics._FACTOR_TABLE_MAX + i for i in range(1, 1001)],  # past the bound
+        rng.sample(range(1, 2 * 10**6), 1500),  # under it, with a few terms
+    ]
+    for ns in cases:
+        tracemalloc.start()
+        try:
+            rational_sum(ns, [1, -1] * (len(ns) // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (len(ns), peak)
 
 
 @PROPERTY_SETTINGS

@@ -70,7 +70,7 @@ def test_reciprocal_sum_and_lcm():
 
 
 def test_sign_sequence_basics():
-    seq = SignSequence.from_pairs([(3, -1), (1, 1), (2, -1)])
+    seq = SignSequence(SupportSet([1, 2, 3]), [1, -1, -1])
     assert seq.sign_of(1) == 1 and seq.sign_of(3) == -1
     assert list(seq.items()) == [(1, 1), (2, -1), (3, -1)]
     with pytest.raises(ValueError):
@@ -80,8 +80,8 @@ def test_sign_sequence_basics():
 
 
 def test_sign_sequence_merge_disjoint_only():
-    a = SignSequence.from_pairs([(1, 1), (4, -1)])
-    b = SignSequence.from_pairs([(2, -1)])
+    a = SignSequence(SupportSet([1, 4]), [1, -1])
+    b = SignSequence(SupportSet([2]), [-1])
     merged = a.merge(b)
     assert list(merged.items()) == [(1, 1), (2, -1), (4, -1)]
     with pytest.raises(ValueError):
