@@ -446,7 +446,7 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage or limit)."""
+    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage, limit or crash)."""
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -459,6 +459,9 @@ def run(argv) -> int:
         return EXIT_USAGE
     except MemoryError as exc:  # a resource limit, never an infeasible outcome
         print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:  # an internal check fired: a crash, never "infeasible"
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -113,6 +113,10 @@ def _certified_greedy(ns: list[int], start, scale_bits: int = GREEDY_SCALE_BITS)
     and exact zeros resolve exactly. A nonzero e that the interval could not
     resolve doubles scale_bits: greedy sums over long supports shrink far
     below 2^-128, and each re-anchor costs an lcm-sized addition.
+
+    Each 1/n is rounded inline, half up as in rounded_units: units taken up
+    front would hold a scale_bits-sized int per term at once, which raised
+    the peak RSS of long greedy runs with no gain in time.
     """
     one = 1 << scale_bits
     anchor, anchor_at = Fraction(start), 0
@@ -227,7 +231,8 @@ def small_prefix_construction(n_scale: int) -> ConstructionReport:
         t0,
         {"alternating_sum": alpha, "flip_error": flip.error},
     )
-    assert rep.target_met, f"prefix construction violated 2/N at N={n_scale}"
+    if not rep.target_met:
+        raise RuntimeError(f"prefix construction violated 2/N at N={n_scale}")
     return rep
 
 
@@ -614,14 +619,13 @@ def rough_basis_subset(
             first.sort()
             b = a.values[first]
             pairs = dict(zip(rough[first].tolist(), (b // rough[first]).tolist()))
-            k = max((sieve.big_omega(r) for r in roots.tolist() if r > 1), default=1)
             note = "" if target == n_scale ** (1.0 - eps0) else "target capped at |A|"
             return RoughBasis(
                 b=SupportSet(b),
                 r=SupportSet(roots),
                 smooth_of=pairs,
                 eps1=eps1,
-                k=max(k, 1),
+                k=int(sieve.omega_table()[roots].max(initial=1)),
                 feasible=True,
                 note=note,
             )
@@ -721,7 +725,8 @@ def dense_set_signs(
     report = ConstructionReport._from_signs(
         prefix_seq.merge(rep.signs), Fraction(0), target_eta, "Pipeline", seed, t_start, details
     )
-    assert report.achieved_exact == rep.achieved_exact, "pipeline bookkeeping mismatch"
+    if report.achieved_exact != rep.achieved_exact:
+        raise RuntimeError("pipeline bookkeeping mismatch")
     return report
 
 
@@ -795,7 +800,8 @@ def upper_density_scales(
         )
         assigned = rep.signs if assigned is None else assigned.merge(rep.signs)
         running += exact_rational_sum(rep.signs)
-        assert abs(running) == rep.achieved_exact
+        if abs(running) != rep.achieved_exact:
+            raise RuntimeError(f"running sum disagrees with the refinement at scale {p_i}")
         coarse = Fraction(2) / Fraction(delta0 * p_i)
         rep.details["scale"] = p_i
         rep.details["coarse_bound_met"] = bool(abs(running) <= coarse)

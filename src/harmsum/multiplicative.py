@@ -469,10 +469,8 @@ def locality_check(
     for blocks in intervals:
         for lo, hi in blocks:
             outside &= ~((ps > lo) & (ps <= hi))
-    for p in ps[outside]:
-        if fn.sign_at_prime(int(p)) != seed_fn.sign_at_prime(int(p)):
-            return False
-    return True
+    ps = ps[outside]
+    return np.array_equal(fn._sign[ps], seed_fn._sign[ps])
 
 
 def multiplicativity_check(fn: MultiplicativeFn, pairs: int, seed: int) -> bool:

@@ -323,22 +323,26 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
 
 def unit_fraction(n: int, scale_bits: int) -> BigFixed:
     """1/n as a BigFixed with at most one ulp of error."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if scale_bits < 1:
-        raise ValueError("precision must be >= 1 bit")
-    m, inexact = _round_nearest(1 << scale_bits, n)
-    return BigFixed(m, scale_bits, inexact)
+    return unit_sum([n], scale_bits)
 
 
 def rounded_units(ns, scale_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """2^scale_bits / n rounded half up for every n, as int64, with a mask of
-    the terms that rounding changed; scale_bits may be at most 62."""
-    if not 1 <= scale_bits <= 62:
-        raise ValueError("int64 units need 1 <= scale_bits <= 62")
+    """2^scale_bits / n rounded half up for every n, with a mask of the terms
+    that rounding changed. This is the one rounding of 1/n: the units are
+    int64 for scale_bits <= 62 and exact Python ints (an object array) above.
+    Raises ValueError for any n < 1, before dividing."""
+    if scale_bits < 1:
+        raise ValueError("precision must be >= 1 bit")
     ns = np.asarray(ns, dtype=np.int64)
-    q, r = np.divmod(np.int64(1) << scale_bits, ns)
-    return q + (2 * r >= ns), r != 0
+    if ns.size and ns.min() < 1:
+        raise ValueError("n must be >= 1")
+    if scale_bits <= 62:
+        q, r = np.divmod(np.int64(1) << scale_bits, ns)
+    else:  # remainders are below n, so only the quotients need Python ints
+        q, r = np.frompyfunc(divmod, 2, 2)(1 << scale_bits, ns)
+        r = r.astype(np.int64)
+    q += r >= ns - r
+    return q, r != 0
 
 
 def unit_sum(ns, scale_bits: int, signs=None) -> BigFixed:
@@ -347,23 +351,12 @@ def unit_sum(ns, scale_bits: int, signs=None) -> BigFixed:
     `signs` holds the +1/-1 of each term (all +1 when None). err_ulps is the
     number of inexact terms; each is off by at most half an ulp.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    plus = np.ones(len(ns), dtype=bool) if signs is None else np.asarray(signs) > 0
-    if max(len(ns), 1) << scale_bits < 1 << 63:  # the int64 sum cannot overflow
-        units, inexact = rounded_units(ns, scale_bits)
-        total = int(units[plus].sum()) - int(units[~plus].sum())
-        return BigFixed(total, scale_bits, int(inexact.sum()))
-    return _unit_sum_loop(ns.tolist(), plus.tolist(), scale_bits)
-
-
-def _unit_sum_loop(ns: list[int], plus: list[bool], scale_bits: int) -> BigFixed:
-    one = 1 << scale_bits
-    total = err = 0
-    for n, p in zip(ns, plus):
-        q, inexact = _round_nearest(one, n)
-        total += q if p else -q
-        err += inexact
-    return BigFixed(total, scale_bits, err)
+    units, inexact = rounded_units(ns, scale_bits)
+    if max(len(units), 1) << scale_bits >= 1 << 63:  # an int64 sum could overflow
+        units = units.astype(object, copy=False)
+    plus = np.ones(len(units), dtype=bool) if signs is None else np.asarray(signs) > 0
+    total = int(units[plus].sum()) - int(units[~plus].sum())
+    return BigFixed(total, scale_bits, int(inexact.sum()))
 
 
 def signed_harmonic_sum(signs: SignSequence, scale_bits: int) -> BigFixed:

@@ -351,6 +351,21 @@ def test_out_of_memory_exits_usage_without_record(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_internal_check_exits_usage_without_traceback(tmp_path, capsys, monkeypatch):
+    def unclosed(free_ns, tau):
+        raise RuntimeError("meet-in-the-middle shortlist not closed under equal values")
+
+    monkeypatch.setattr(cli.ctor, "_mitm_fixed_point", unclosed)
+    out = tmp_path / "m.json"
+    argv = ["construct", "--interval", "1..40", "--method", "mitm", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "internal error: meet-in-the-middle shortlist not closed under equal values"
+    ]
+    assert not out.exists()
+
+
 def test_pipeline_cli_strict_delta(tmp_path):
     code = cli.run(["pipeline", "--scales", "2000,16000", "--out", str(tmp_path / "p.json")])
     assert code == cli.EXIT_INFEASIBLE

@@ -364,6 +364,20 @@ def test_dense_set_signs_small(sieve_small):
     assert rep.signs.support == SupportSet.interval(1, 512)
 
 
+def test_dense_set_signs_bookkeeping_check_raises(sieve_small, monkeypatch):
+    greedy = ctor.greedy_bounded
+
+    def misreported(a):
+        seq, total = greedy(a)
+        return seq, total + Fraction(1, 7)
+
+    monkeypatch.setattr(ctor, "greedy_bounded", misreported)
+    with pytest.raises(RuntimeError, match="pipeline bookkeeping mismatch"):
+        ctor.dense_set_signs(
+            SupportSet.interval(1, 256), 256, 1.0, 0.2, seed=2, sieve=sieve_small, max_free=24
+        )
+
+
 def test_dense_set_signs_density_error(sieve_small):
     sparse = SupportSet([2**k for k in range(1, 9)])
     with pytest.raises(ctor.DensityRequirementError):

@@ -158,6 +158,14 @@ def test_pipeline_best_effort_floor(sieve_small):
     assert mult.multiplicativity_check(fn, 20_000, seed=6)
 
 
+def test_locality_check_sees_an_override_off_the_blocks():
+    table = SieveTable(100)
+    lam = mult.MultiplicativeFn(table, "liouville")
+    fn = lam.with_overrides({7: 1})
+    assert not mult.locality_check(fn, lam, [[[10, 50]]], 100)
+    assert mult.locality_check(fn, lam, [[[5, 7]]], 100)
+
+
 def test_pipeline_locality_and_blocks(sieve_small):
     _, state = mult.log_mean_pipeline(
         sieve_small, scales=[2000, 16000], allow_nonpositive_delta=True

@@ -25,7 +25,6 @@ from harmsum.numerics import (
     _plain,
     _round_nearest,
     _sci,
-    _unit_sum_loop,
     exact_rational_sum,
     fraction_str,
     rational_sum,
@@ -281,15 +280,27 @@ def test_rounded_sum_contains_exact(case, bits):
 
 
 @PROPERTY_SETTINGS
-@given(signed_supports(), st.integers(1, 56))
-def test_unit_sum_branches_agree(case, bits):
-    ns, signs = case
-    if max(len(ns), 1) << bits >= 1 << 63:  # only the loop applies
-        return
-    assert unit_sum(ns, bits, signs) == _unit_sum_loop(ns, [s > 0 for s in signs], bits)
+@given(supports, st.integers(1, 200))
+@example([2**62 + 1, 2**63 - 1], 62)  # 2r overflows int64, r >= n - r does not
+@example([2**62 + 1, 2**63 - 1], 63)
+def test_rounded_units_match_round_nearest(ns, bits):
+    """Entry by entry at every precision: int64 units up to 62 bits, exact
+    Python ints above."""
     units, inexact = rounded_units(ns, bits)
+    assert units.dtype == (np.int64 if bits <= 62 else object)
     assert units.tolist() == [_round_nearest(1 << bits, n)[0] for n in ns]
     assert inexact.tolist() == [bool((1 << bits) % n) for n in ns]
+
+
+@pytest.mark.parametrize("bits", [10, 70])
+@pytest.mark.parametrize("bad", [0, -3])
+def test_unit_rounding_rejects_n_below_one(bad, bits):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rounded_units([bad, 2], bits)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        unit_sum([bad, 2], bits)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        numerics.unit_fraction(bad, bits)
 
 
 @PROPERTY_SETTINGS
