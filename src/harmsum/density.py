@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .numerics import BigFixed, _half_sums
+from .numerics import BigFixed, _half_sums, rounded_units
 from .support import SupportSet
 
 # The pointwise bound |cos(2*pi*theta)| <= exp(-2*pi^2*||theta||^2) is only
@@ -366,14 +366,32 @@ def mc_probability(
     return p, stderr
 
 
+def _pairs_in_window(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> int:
+    """Count of pairs (l, r) with lo <= l + r <= hi, for `left` sorted."""
+    if lo > hi:
+        return 0
+    count = np.searchsorted(left, hi - right, side="right") - np.searchsorted(
+        left, lo - right, side="left"
+    )
+    return int(count.sum())
+
+
 def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fraction:
     """Exact P(|X_A - x0| <= eta) by meet-in-the-middle counting.
 
-    All comparisons happen in integer arithmetic over the common denominator
-    D of A and x0 - eta: each half's signed sums of D/n come from _half_sums
-    as exact Python ints, and two searchsorted calls on the sorted left half
-    count the pairs inside the window. Supports up to EXHAUSTIVE_LIMIT
-    elements are allowed.
+    An int64 screen decides almost every call. Each 1/n is rounded once to
+    units of 2^-P (rounded_units), with P = 61 - ceil(log2(2(m + 1) + 2)) for
+    m = |A|, and the window is clamped to the units' reach [-R, R], which
+    holds every signed sum of them; a window that misses it holds no sum.
+    Each half's sums come from _half_sums and are sorted. A pair of half
+    sums is at most m/2 units off its exact sum, so one count over the window
+    widened by m/2 units (`maybe`) and one over it narrowed by m/2 (`sure`)
+    bracket the exact count, and when they agree it is `sure`. Otherwise some
+    pair lies within rounding error of an edge (an exact tie, or an n past
+    2^P), and the pairs are counted again in integers over the common
+    denominator D of A and x0 - eta: each half's signed sums of D/n come from
+    _half_sums as exact Python ints. Supports up to EXHAUSTIVE_LIMIT elements
+    are allowed.
     """
     if len(a) > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} elements")
@@ -383,19 +401,38 @@ def exhaustive_probability(a: SupportSet, x0: Fraction, eta: Fraction) -> Fracti
         raise ValueError("eta must be >= 0")
     if not len(a):
         return Fraction(1) if abs(x0) <= eta else Fraction(0)
-    ns = a.values.tolist()
-    lo = x0 - eta
+    m = len(a)
+    # the sums and the clamped edges lie in [-m * 2^P, m * 2^P], so an edge
+    # minus a half sum stays below (2(m + 1) + 2) * 2^P <= 2^61
+    bits = 61 - (2 * (m + 1) + 1).bit_length()
+    units = rounded_units(a.values, bits)[0]
+    reach = int(units.sum())
+    lo_u, hi_u = (x0 - eta) * (1 << bits), (x0 + eta) * (1 << bits)
+
+    def window(slack: Fraction) -> tuple[int, int]:
+        return max(math.ceil(lo_u - slack), -reach), min(math.floor(hi_u + slack), reach)
+
+    maybe_lo, maybe_hi = window(Fraction(m, 2))
+    if maybe_lo > maybe_hi:
+        return Fraction(0)
+    left = np.sort(_half_sums(units[0::2]))
+    right = np.sort(_half_sums(units[1::2]))  # ascending queries search faster
+    maybe = _pairs_in_window(left, right, maybe_lo, maybe_hi)
+    sure = _pairs_in_window(left, right, *window(Fraction(-m, 2)))
+    if sure != maybe:
+        sure = _exact_pairs_in_window(a.values.tolist(), x0 - eta, x0 + eta)
+    return Fraction(sure, 1 << m)
+
+
+def _exact_pairs_in_window(ns: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Count of sign vectors with lo <= sum s/n <= hi, in exact integers."""
     den = math.lcm(lo.denominator, *ns)
     # The sums are integers, so the window [lo, hi] may be cut to floor(hi).
     lo_i = lo.numerator * (den // lo.denominator)
-    hi_i = math.floor((x0 + eta) * den)
+    hi_i = math.floor(hi * den)
     weights = np.array([den // n for n in ns], dtype=object)
     # weights[0::2], the larger half for odd m, is sorted by sorted(), which
     # compares Python ints about twice as fast as np.sort on objects; the
     # other half's sums are searched in it.
     left = np.array(sorted(_half_sums(weights[0::2])), dtype=object)
-    right = _half_sums(weights[1::2])
-    count = np.searchsorted(left, hi_i - right, side="right") - np.searchsorted(
-        left, lo_i - right, side="left"
-    )
-    return Fraction(int(count.sum()), 1 << len(a))
+    return _pairs_in_window(left, _half_sums(weights[1::2]), lo_i, hi_i)

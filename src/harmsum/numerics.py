@@ -37,6 +37,7 @@ _SPLIT_MIN_BITS = 16_000
 _FACTOR_TABLE_MAX = 1 << 21
 _TABLE_PER_TERM = 16
 _LOG2_10 = math.log2(10)
+_POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
@@ -367,9 +368,11 @@ def signed_harmonic_sum(signs: SignSequence, scale_bits: int) -> BigFixed:
 def _half_sums(units: np.ndarray) -> np.ndarray:
     """All 2^m signed sums of `units`: bit j of an entry's index means -u_j.
 
-    The sums take the dtype of `units`: int64 in the MITM kernel, object
-    (exact Python ints) in exhaustive_probability. Built in place: unit j
-    turns the first 2^j entries v into v + u_j followed by v - u_j.
+    The sums take the dtype of `units`: int64 in the MITM kernel and in
+    exhaustive_probability's screen; object half sums of lcm/n (exact Python
+    ints) now serve only exhaustive_probability's exact fallback. Built in
+    place: unit j turns the first 2^j entries v into v + u_j followed by
+    v - u_j.
     """
     out = np.empty(1 << len(units), dtype=units.dtype)
     out[0] = 0
@@ -387,22 +390,38 @@ def rational_sum(ns, signs) -> Fraction:
     Sums under _SPLIT_MIN_BITS, and sums the factor table does not reach,
     go through one product tree (_tree_sum). Larger ones are split by the
     anatomy of integers (_split_sum): each n <= max has at most one prime
-    factor above sqrt(max), and only to the first power.
+    factor above sqrt(max), and only to the first power. Integer ndarrays
+    stay arrays on the split path, and the guard counts their bits from the
+    array (_bit_total); everything else is turned into lists once.
     """
-    ns = ns.tolist() if isinstance(ns, np.ndarray) else list(map(int, ns))
-    signs = signs.tolist() if isinstance(signs, np.ndarray) else list(signs)
+    array = isinstance(ns, np.ndarray) and ns.dtype.kind == "i"
+    if not array:
+        ns = ns.tolist() if isinstance(ns, np.ndarray) else list(map(int, ns))
+    if not isinstance(signs, np.ndarray):
+        signs = list(signs)
     if len(ns) != len(signs):
         raise ValueError("ns and signs differ in length")
-    bits = sum(map(int.bit_length, ns))
+    bits = _bit_total(ns) if array else sum(map(int.bit_length, ns))
     if bits > DEFAULT_LCM_BIT_BUDGET:
         raise ResourceBudgetError(
             f"product of the denominators exceeds {DEFAULT_LCM_BIT_BUDGET} bits"
         )
-    if bits >= _SPLIT_MIN_BITS and min(ns) >= 1:
-        top = max(ns)
-        if top <= min(_FACTOR_TABLE_MAX, _TABLE_PER_TERM * len(ns)):
+    if bits >= _SPLIT_MIN_BITS:
+        low, top = (int(ns.min()), int(ns.max())) if array else (min(ns), max(ns))
+        if low >= 1 and top <= min(_FACTOR_TABLE_MAX, _TABLE_PER_TERM * len(ns)):
             return _split_sum(ns, signs, top)
+    if array:
+        ns = ns.tolist()
+    if isinstance(signs, np.ndarray):
+        signs = signs.tolist()
     return _tree_sum(ns, signs)
+
+
+def _bit_total(ns: np.ndarray) -> int:
+    """Sum of int.bit_length over an integer array, exact for every int64:
+    |n| as uint64 (|-2^63| included) is ranked among the powers of two."""
+    mags = np.abs(ns.astype(np.int64, copy=False)).view(np.uint64)
+    return int(np.searchsorted(_POWERS_OF_TWO, mags, side="right").sum())
 
 
 def _tree_sum(ns: list[int], signs: list) -> Fraction:
@@ -452,7 +471,7 @@ def _large_prime_table(top: int) -> tuple[np.ndarray, list[int]]:
     return table, small
 
 
-def _split_sum(ns: list[int], signs: list, top: int) -> Fraction:
+def _split_sum(ns: list[int] | np.ndarray, signs: list | np.ndarray, top: int) -> Fraction:
     """Exact sum of s/n for 1 <= n <= top, split by each n's prime factor
     above r = isqrt(top).
 

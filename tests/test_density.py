@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -218,6 +219,58 @@ def test_exhaustive_probability_matches_brute_force(ns, data):
     ))
     hits = sum(abs(v - x0) <= eta for v in sums)
     assert dens.exhaustive_probability(SupportSet(ns), x0, eta) == Fraction(hits, 1 << len(ns))
+
+
+def _fraction_count(ns, lo: Fraction, hi: Fraction) -> int:
+    """Sign vectors with lo <= sum s/n <= hi: sorted Fraction half sums, bisect."""
+
+    def half_sums(part):
+        sums = [Fraction(0)]
+        for u in (Fraction(1, n) for n in part):
+            sums = [v + u for v in sums] + [v - u for v in sums]
+        return sums
+
+    left = sorted(half_sums(ns[0::2]))
+    return sum(bisect_right(left, hi - r) - bisect_left(left, lo - r) for r in half_sums(ns[1::2]))
+
+
+def test_exhaustive_probability_at_the_limit_from_far_out():
+    # 25 elements with n = 1 and 2, the largest units; x0 lies far past the
+    # reciprocal sum H and the window reaches back in, to an interior point
+    # or onto H itself, which only the all-plus vector reaches
+    rng = np.random.default_rng(25)
+    ns = [1, 2, *(int(n) for n in rng.choice(np.arange(3, 200), 23, replace=False))]
+    assert len(ns) == dens.EXHAUSTIVE_LIMIT
+    reach = sum(Fraction(1, n) for n in ns)
+    far = Fraction(10**20) + Fraction(1, 3)
+    for edge in (reach / 3, reach):
+        for sign in (1, -1):
+            x0, eta = sign * far, far - edge
+            lo, hi = x0 - eta, x0 + eta
+            expected = Fraction(_fraction_count(ns, lo, hi), 1 << len(ns))
+            assert dens.exhaustive_probability(SupportSet(ns), x0, eta) == expected
+            if edge == reach:
+                assert expected == Fraction(1, 1 << len(ns))
+
+
+def test_exhaustive_probability_decides_clear_windows_in_int64(monkeypatch):
+    # every sum over [1, 25] is k/D, D = lcm(1..25), and each window edge is
+    # (k + 1/2)/D, a half-ulp of D from every sum: the int64 screen decides
+    ns = list(range(1, 26))
+    den = math.lcm(*ns)
+    x0, eta = Fraction(1, 3), Fraction(1, 10) + Fraction(1, 2 * den)
+    dtypes = []
+    half_sums = dens._half_sums
+
+    def spy(units):
+        dtypes.append(units.dtype)
+        return half_sums(units)
+
+    monkeypatch.setattr(dens, "_half_sums", spy)
+    got = dens.exhaustive_probability(SupportSet(ns), x0, eta)
+    assert dtypes == [np.dtype(np.int64)] * 2
+    assert got == Fraction(_fraction_count(ns, x0 - eta, x0 + eta), 1 << len(ns))
+    assert 0 < got < 1
 
 
 def test_mc_matches_exhaustive():

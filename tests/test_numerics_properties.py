@@ -251,6 +251,55 @@ def test_rational_sum_takes_the_split_above_the_cutoff(monkeypatch):
     assert rational_sum(np.array(ns), np.array(signs, dtype=np.int8)) == exact
 
 
+# int.bit_length changes at these values, and a float log2 of an n past 2^53
+# can land on the wrong side (2^62 - 1 rounds to 2^62)
+BIT_EDGES = [
+    s * (2**k + d) for k in (53, 62) for d in (-1, 0, 1) for s in (1, -1)
+] + [2**63 - 1, -(2**63), 1, -1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([40, 1400, 3000]),
+    st.lists(st.sampled_from(BIT_EDGES), min_size=1, max_size=8),
+)
+def test_rational_sum_takes_lists_and_arrays_alike(seed, count, edges):
+    # values in [1, 4000]: 40 terms stay under _SPLIT_MIN_BITS, 3000 pass it
+    rng = random.Random(seed)
+    ns = [rng.randint(1, 4000) for _ in range(count)]
+    signs = [rng.choice((-1, 1)) for _ in ns]
+    exact = rational_sum(ns, signs)
+    assert rational_sum(np.array(ns), np.array(signs, dtype=np.int8)) == exact
+    assert rational_sum(np.array(ns), signs) == exact
+    assert rational_sum(ns, np.array(signs)) == exact
+    # the guard counts bits as int.bit_length does, for either input kind:
+    # a budget of exactly the total passes, one bit less raises
+    bits = sum(map(int.bit_length, edges))
+    for budget, raises in ((bits, False), (bits - 1, True)):
+        for kind in (list, np.array):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(numerics, "DEFAULT_LCM_BIT_BUDGET", budget)
+                patch.setattr(numerics, "_tree_sum", lambda ns, signs: "summed")
+                if raises:
+                    with pytest.raises(ResourceBudgetError):
+                        rational_sum(kind(edges), [1] * len(edges))
+                else:
+                    assert rational_sum(kind(edges), [1] * len(edges)) == "summed"
+
+
+def test_rational_sum_guard_counts_array_bits_at_the_budget(monkeypatch):
+    # n = 2^62 - 1 has 62 bits, though its float log2 rounds up to 62, and
+    # 2^53 + 1 has 54: the total sits at the budget exactly
+    ns = [2**62 - 1] * 129_007 + [2**53 + 1] * 29
+    assert sum(map(int.bit_length, ns)) == DEFAULT_LCM_BIT_BUDGET
+    monkeypatch.setattr(numerics, "_tree_sum", lambda ns, signs: "summed")
+    for kind in (list, np.array):
+        assert rational_sum(kind(ns), [1] * len(ns)) == "summed"
+        with pytest.raises(ResourceBudgetError):
+            rational_sum(kind(ns + [1]), [1] * (len(ns) + 1))
+
+
 def test_rational_sum_allocates_nothing_sized_by_its_values():
     rng = random.Random(7)
     cases = [
