@@ -136,9 +136,7 @@ def _parsers():
 
 def _parse_args(argv):
     top, sub = _parsers()
-    args, remaining = top.parse_known_args(argv)
-    if remaining:
-        top.error(f"unrecognized arguments: {' '.join(remaining)}")
+    args = top.parse_args(argv)
     if args.config:
         defaults = _read_json_object(args.config, "--config")
         parser = sub.choices[args.command]
@@ -154,6 +152,8 @@ def _parse_args(argv):
         raise _UsageError(
             f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}], got {args.precision_bits}"
         )
+    if getattr(args, "eta", None) is not None and args.eta < 0:
+        raise _UsageError(f"--eta must be >= 0, got {args.eta}")
     return args
 
 
@@ -258,7 +258,7 @@ def _cmd_density(args) -> int:
     if not len(b) or not np.isin(b.values, a.values).all():
         print("B must be a nonempty subset of A", file=sys.stderr)
         return EXIT_USAGE
-    t0, t_upper, fallback = dens.certificate_window(n, len(b), args.k, c=a.min() / n)
+    t0, t_upper, _ = dens.certificate_window(n, len(b), args.k, c=a.min() / n)
     ts = dens.sample_t_values(t0, t_upper, args.count, args.seed)
     cert = dens.decay_certificate(a, b, n, args.k, ts)
     if args.profile_out:
@@ -390,6 +390,8 @@ def _cmd_verify(args) -> int:
     target = args.eta
     if target is None and report.get("target_eta"):
         target = _stored_fraction(report["target_eta"], "target_eta")
+        if target < 0:
+            raise _UsageError(f"target_eta must be >= 0, got {target}")
     if target is None:
         raise _UsageError("no target eta stored or provided")
     # A report states its target for |sum - x0|, with x0 from its command's

@@ -10,11 +10,11 @@ independent ways (seeded Monte Carlo and exact enumeration).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .numerics import BigFixed, _half_sums, rounded_units
@@ -26,6 +26,12 @@ from .support import SupportSet
 GAUSSIAN_BOUND_VALID_LIMIT = 0.28
 
 EXHAUSTIVE_LIMIT = 25
+
+# eta_min is exp(log_eta_min) rounded to the nearest multiple of
+# 2^-ETA_SCALE_BITS. decimal's exp is correctly rounded, and ETA_DIGITS = 60
+# digits (over 199 bits) leave that one rounding to 96 bits far from any tie.
+ETA_SCALE_BITS = 96
+ETA_DIGITS = 60
 
 
 def nearest_int_distance(x: float) -> float:
@@ -137,7 +143,6 @@ def eta_budget(
     k: int,
     x0: float = 0.0,
     c: float = 0.5,
-    scale_bits: int = 96,
 ) -> EtaBudget:
     """Compute the (N, |B|, k) budget; infeasibility is reported, not raised."""
     if n_scale < 3 or b_size < 1 or k < 1:
@@ -152,10 +157,9 @@ def eta_budget(
         core = (c_local ** (2 * k) / 100.0 * b_size**3 / n_scale**2) ** (1.0 / (2 * k + 1))
     exponent = core * log_n ** (2 * k / (2 * k + 1.0))
     log_eta_min = -exponent
-    with mpmath.workprec(scale_bits + 48):
-        eta_val = mpmath.exp(log_eta_min)
-        mant = int(mpmath.floor(eta_val * mpmath.mpf(2) ** scale_bits + mpmath.mpf("0.5")))
-    eta_min = BigFixed(mant, scale_bits, 2)
+    eta_val = decimal.Context(prec=ETA_DIGITS).exp(decimal.Decimal(log_eta_min))
+    mant = math.floor(Fraction(eta_val) * 2**ETA_SCALE_BITS + Fraction(1, 2))
+    eta_min = BigFixed(mant, ETA_SCALE_BITS, 2)
     if math.exp(log_eta_min) > 1.0 / n_scale:
         reasons.append("eta_min exceeds 1/N: admissible window is empty")
     t_exponent = 0.0
@@ -266,10 +270,15 @@ def certificate_window(n_scale: int, b_size: int, k: int, c: float) -> tuple[flo
     The asymptotic cutoff T = exp((c_local^2k/32 |B|^3/N^2)^(1/(2k+1)) ...)
     sits far below t0 at desk scales, which would empty the window; in that
     case fall back to t_upper = N^2 so the checked inequalities are exercised
-    on a real range.
+    on a real range. The checks' delta(t) needs t > e, so t0 = c*N/4 must
+    exceed e: with c = min(A)/N, as decay_certificate takes it, min(A) > 4e.
     """
     budget = eta_budget(n_scale, b_size, k, x0=0.0, c=c)
     t0 = budget.t0
+    if t0 <= math.e:
+        raise ValueError(
+            f"decay window starts at t0 = {t0:.6g} <= e; it needs min(A) > 4e ≈ 10.87"
+        )
     t_upper = budget.t_upper
     fallback = False
     if t_upper <= t0 * 1.0001:

@@ -138,8 +138,8 @@ class SieveTable:
         return self._lpf
 
     def primes_in(self, a: int, b: int) -> SupportSet:
-        """Primes p with a < p <= b."""
-        if not (1 <= a <= b <= self.limit):
+        """Primes p with a < p <= b; a may be 0, as 1 is not prime."""
+        if not (0 <= a <= b <= self.limit):
             if a > b:
                 return SupportSet(np.empty(0, dtype=np.int64))
             raise SieveRangeError(f"interval ({a}, {b}] outside sieve range")

@@ -174,11 +174,6 @@ class SignSequence:
         for n, s in zip(self.support.values, self.signs):
             yield int(n), int(s)
 
-    def restrict(self, lo: int, hi: int) -> "SignSequence":
-        i = np.searchsorted(self.support.values, lo, side="left")
-        j = np.searchsorted(self.support.values, hi, side="right")
-        return SignSequence(SupportSet(self.support.values[i:j]), self.signs[i:j])
-
     def merge(self, other: "SignSequence") -> "SignSequence":
         """Union of two sign sequences with disjoint supports."""
         if np.intersect1d(self.support.values, other.support.values).size:

@@ -109,6 +109,136 @@ def test_verify_malformed_report_exits_usage_without_traceback(tmp_path, payload
     _assert_usage_exit_without_traceback(["verify", "--signs", str(path)])
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+_SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    ("argv", "payload", "code", "message"),
+    [
+        (["--config", "{path}", "construct", "--interval", "1..20"], [1, 2], 2, None),
+        (["construct", "--method", "mitm"], None, 2, None),
+        (["density", "--n", "2000", "--b", "3..5"], None, 2,
+         "B must be a nonempty subset of A"),
+        (["oracle", "--interval", "1..26"], None, 2, None),
+        (["verify", "--signs", "{path}"], {"report": [1]}, 2, None),
+        (["verify", "--signs", "{path}"], {"config": [1], "report": {}}, 2, None),
+        # a pipeline record stores no top-level signs and reads the same way
+        (["verify", "--signs", "{path}"], {"report": {}}, 2, "no signs found in the report"),
+        (["verify", "--signs", "{path}"],
+         {"report": {"signs": {"support_ranges": [[1, 2]], "signs_rle": [[1, "x"]]},
+                     "target_eta": "1"}}, 2, None),
+        (["verify", "--signs", "{path}"],
+         {"report": {"signs": {"support_ranges": [[2**63, 2**63]], "signs_rle": [[1, 1]]},
+                     "target_eta": "1"}}, 2, None),
+        (["verify", "--signs", "{path}"], {"report": {"signs": _SIGNS}}, 2,
+         "no target eta stored or provided"),
+        (["verify", "--signs", "{path}"], {"report": {"signs": _SIGNS, "target_eta": "abc"}},
+         2, None),
+        (["verify", "--signs", "{path}"],
+         {"report": {"signs": _SIGNS, "target_eta": "1"}, "config": {"x0": [1]}}, 2, None),
+        (["construct", "--set", "mod 5: 1", "--n", "300", "--method", "pipeline"], None, 1,
+         None),
+    ],
+    ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
+         "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
+         "range-past-int64", "no-target", "target-not-rational", "x0-list", "pipeline-infeasible"],
+)
+def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert cli.run([a.format(path=path) for a in argv] + ["--out", str(out)]) == code
+    if code == cli.EXIT_USAGE:
+        line = _one_line_error(capsys)
+        assert message is None or line == message
+        assert not out.exists()
+    else:
+        assert "Traceback" not in capsys.readouterr().err
+        assert set(json.loads(out.read_text())["report"]) == {"infeasible"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--signs", "{path}", "--eta", "-1"],
+    ["verify", "--signs", "{stored}"],
+    ["construct", "--interval", "1..256", "--method", "mitm", "--eta", "-1"],
+    ["construct", "--interval", "1..256", "--method", "pipeline", "--eta=-1/3"],
+    ["--config", "{config}", "construct", "--interval", "1..256", "--method", "pipeline"],
+], ids=["verify-flag", "verify-stored", "mitm", "pipeline", "config"])
+def test_negative_eta_exits_usage_without_record(tmp_path, capsys, argv):
+    # no |sum| meets a negative bound: the input is malformed, not "Above"
+    path = _write_report(tmp_path / "r.json", [[1, 2]], [[1, 2]], "1")
+    stored = _write_report(tmp_path / "s.json", [[1, 2]], [[1, 2]], "-1")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"eta": "-1"}))
+    out = tmp_path / "out.json"
+    argv = [a.format(path=path, stored=stored, config=config) for a in argv]
+    assert cli.run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert "must be >= 0" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_zero_eta_is_still_a_target(tmp_path, capsys):
+    report = _write_report(tmp_path / "r.json", [[1, 2]], [[1, 2]], "1")
+    assert cli.run(["verify", "--signs", str(report), "--eta", "0"]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().out.splitlines()[-1] == "Above"
+
+
+@pytest.mark.parametrize("spec", ["mod 3: 1", "5..2000"], ids=["one-in-a", "min-a-5"])
+def test_density_small_min_a_exits_usage_naming_the_bound(tmp_path, capsys, spec):
+    out = tmp_path / "cert.json"
+    argv = ["density", "--n", "2000", "--a", spec, "--count", "20", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_USAGE
+    assert "min(A) > 4e" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_density_min_a_above_the_bound_writes_a_record(tmp_path):
+    out = tmp_path / "cert.json"
+    argv = ["density", "--n", "2000", "--a", "11..2000", "--count", "20", "--out", str(out)]
+    assert cli.run(argv) in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+    assert json.loads(out.read_text())["report"]["a_size"] == 1990
+
+
+def test_runtime_imports_no_third_party_module_but_numpy():
+    # The snapshot skips what the interpreter loads before harmsum, such as
+    # modules that site-packages .pth files import at startup.
+    code = """if True:
+        import json, os, sys, sysconfig
+        before = set(sys.modules)
+        import harmsum.cli
+        site = {os.path.realpath(sysconfig.get_paths()[k]) for k in ("purelib", "platlib")}
+        third = set()
+        for name in set(sys.modules) - before:
+            mod = sys.modules[name]
+            if "." in name or name == "harmsum" or mod is None:
+                continue
+            paths = [getattr(mod, "__file__", None), *getattr(mod, "__path__", [])]
+            for p in filter(None, paths):
+                if any(os.path.realpath(p).startswith(s + os.sep) for s in site):
+                    third.add(name)
+        print(json.dumps(sorted(third)))
+    """
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"numpy"}
+
+
 def test_threads_flag_is_only_recorded(tmp_path):
     args = ["construct", "--interval", "100..900", "--method", "mitm", "--max-free", "30",
             "--x0", "1/777"]

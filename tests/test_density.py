@@ -1,3 +1,4 @@
+import decimal
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmsum import density as dens
+from harmsum.numerics import BigFixed
 from harmsum.support import SupportSet
 
 
@@ -109,6 +111,35 @@ def test_eta_budget():
     assert b.eta_min.contains(Fraction(math.exp(b.log_eta_min)).limit_denominator(10**30)) or abs(
         float(b.eta_min.value_fraction()) - math.exp(b.log_eta_min)
     ) < 1e-12
+
+
+@pytest.mark.parametrize(
+    ("n", "b_size", "k"),
+    [
+        (256, 256, 1),
+        (256, 85, 3),  # the budget of the [1, 256] pipeline record
+        (256, 10, 1),  # |B| <= N^(2/3): exponent 0, mantissa 2^96
+        (4096, 2000, 2),
+        (3000, 1500, 3),
+        (10**6, 10**6, 1),  # exp(-124) is below half an ulp: mantissa 0
+    ],
+)
+def test_eta_min_is_exp_rounded_to_nearest(n, b_size, k):
+    budget = dens.eta_budget(n, b_size, k)
+    exp = decimal.Context(prec=200).exp(decimal.Decimal(budget.log_eta_min))
+    mant = math.floor(Fraction(exp) * 2**96 + Fraction(1, 2))
+    assert budget.eta_min == BigFixed(mant, 96, 2)
+    if b_size == 10:
+        assert budget.log_eta_min == 0 and mant == 2**96
+    if n == 10**6:
+        assert mant == 0
+
+
+def test_certificate_window_needs_t0_above_e():
+    with pytest.raises(ValueError, match=r"min\(A\) > 4e"):
+        dens.certificate_window(2000, 300, 1, c=10 / 2000)
+    t0, _, _ = dens.certificate_window(2000, 300, 1, c=11 / 2000)
+    assert t0 == 11 / 4
 
 
 def test_density_profile_bound_holds():

@@ -92,6 +92,7 @@ def test_primes_in(sieve_small):
     assert list(sieve_small.primes_in(10, 20)) == [11, 13, 17, 19]
     assert len(sieve_small.primes_in(13, 13)) == 0
     assert list(sieve_small.primes_in(1, 10)) == [2, 3, 5, 7]
+    assert list(sieve_small.primes_in(0, 10)) == [2, 3, 5, 7]  # 1 is not prime
 
 
 def test_prime_reciprocal_sum(sieve_small, sieve_million):
