@@ -23,7 +23,7 @@ from . import constructor as ctor
 from . import density as dens
 from . import multiplicative as mult
 from .numerics import (
-    Comparison,
+    MAX_PRECISION_BITS,
     ResourceBudgetError,
     _is_int_pairs,
     _json_text,
@@ -36,9 +36,6 @@ from .support import SignSequence, SupportSet
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
-# verify doubles its precision up to this bound; a 2^13-bit mantissa stays
-# within Python's 4300-digit limit on int-to-str conversion.
-MAX_PRECISION_BITS = 1 << 13
 
 
 class _UsageError(Exception):
@@ -388,7 +385,7 @@ def _cmd_verify(args) -> int:
     except OverflowError:  # numpy's int64 conversion of a larger JSON int
         raise _UsageError("the report's signs hold an integer outside int64") from None
     target = args.eta
-    if target is None and report.get("target_eta"):
+    if target is None and report.get("target_eta") is not None:
         target = _stored_fraction(report["target_eta"], "target_eta")
         if target < 0:
             raise _UsageError(f"target_eta must be >= 0, got {target}")
@@ -398,22 +395,20 @@ def _cmd_verify(args) -> int:
     # config; a flip report for |sum - alpha|.
     key = "alpha" if config.get("method") == "flip" else "x0"
     x0 = _stored_fraction(config.get(key, 0), key)
-    outcome, v, bits = verify_abs_below(
-        abs(exact_rational_sum(seq) - x0),
-        target,
-        start_bits=args.precision_bits,
-        max_bits=MAX_PRECISION_BITS,
+    met, v, bits = verify_abs_below(
+        abs(exact_rational_sum(seq) - x0), target, start_bits=args.precision_bits
     )
+    outcome = "below" if met else "above"
     result = {
-        "outcome": outcome.value,
+        "outcome": outcome,
         "value": v,
         "x0": x0,
         "target_eta": target,
         "precision_bits": bits,
     }
     _emit(_record(args, result, started), args.out)
-    print(outcome.value.capitalize())
-    return EXIT_OK if outcome is Comparison.BELOW else EXIT_INFEASIBLE
+    print(outcome.capitalize())
+    return EXIT_OK if met else EXIT_INFEASIBLE
 
 
 def _cmd_oracle(args) -> int:

@@ -22,6 +22,7 @@ from .numerics import (
     exact_rational_sum,
     rational_sum,
     rounded_units,
+    verify_abs_below,
 )
 from .sieve import SieveTable
 from .support import SignSequence, SupportSet
@@ -85,15 +86,17 @@ class ConstructionReport:
         """The report of `signs`: |sum - x0|, its BigFixed rendering and
         whether it meets target_eta are all derived here from the signs."""
         achieved = abs(exact_rational_sum(signs) - x0)
-        ref = target_eta if target_eta is not None and target_eta > 0 else Fraction(1, 10**15)
-        if 0 < achieved < ref:
-            ref = achieved
+        bits = default_precision(len(signs), target_eta, achieved)
+        if target_eta is None:
+            met, rendered = None, BigFixed.from_fraction(achieved, bits)
+        else:
+            met, rendered, _ = verify_abs_below(achieved, target_eta, bits)
         return cls(
             signs=signs,
-            achieved=BigFixed.from_fraction(achieved, default_precision(len(signs), ref)),
+            achieved=rendered,
             achieved_exact=achieved,
             target_eta=target_eta,
-            target_met=None if target_eta is None else achieved <= target_eta,
+            target_met=met,
             method=method,
             rng_seed=rng_seed,
             wall_time=time.perf_counter() - t_start,

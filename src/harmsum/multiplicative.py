@@ -21,8 +21,6 @@ from .constructor import (
 )
 from .numerics import (
     BigFixed,
-    Comparison,
-    VerificationLog,
     default_precision,
     rational_sum,
     rounded_units,
@@ -234,10 +232,9 @@ class PipelineState:
     rng_seed: int
     feasible: bool
     wall_time: float = 0.0
-    verification: VerificationLog | None = None
 
     def to_obj(self) -> dict:
-        obj = {k: v for k, v in vars(self).items() if k != "verification"}
+        obj = dict(vars(self))
         # str keys, as JSON holds them: they sort as strings, not as numbers
         obj["seed_overrides"] = {str(k): v for k, v in self.seed_overrides.items()}
         return obj
@@ -271,7 +268,6 @@ def log_mean_pipeline(
     target_eta: Fraction = Fraction(1, 10**10),
     max_free: int = 48,
     allow_nonpositive_delta: bool = False,
-    verification: VerificationLog | None = None,
 ) -> tuple[MultiplicativeFn, PipelineState]:
     """Drive |L(f, N_i)| small by reassigning f at primes in two blocks per
     scale: J_i = [N_i/2, N_i] united with [N_i/(C+1), N_i/C].
@@ -315,8 +311,6 @@ def log_mean_pipeline(
             f"Delta = -L(seed, {c_cross}) = {delta} is not positive; "
             "no admissible crossing at this constant"
         )
-    if verification is None:
-        verification = VerificationLog()
     reports: list[ScaleReport] = []
     intervals: list[list[list[int]]] = []
     feasible_all = True
@@ -403,14 +397,9 @@ def log_mean_pipeline(
         identity_final = l_final == e_value + s_top + l_c * s_mid
         if not identity_final:
             notes.append("post-construction decomposition identity failed")
-        outcome, achieved_bf, _ = verify_abs_below(
-            achieved_exact,
-            target_eta,
-            start_bits=default_precision(n, target_eta),
-            label=f"pipeline scale {n}",
-            log=verification,
+        met, achieved_bf, _ = verify_abs_below(
+            achieved_exact, target_eta, start_bits=default_precision(n, target_eta)
         )
-        met = outcome is Comparison.BELOW
         af = float(achieved_exact) if achieved_exact else 0.0
         c0_hat = (
             -math.log(af) / (n / math.log(n)) ** (1.0 / 3) if 0.0 < af < 1.0 else None
@@ -454,7 +443,6 @@ def log_mean_pipeline(
         rng_seed=rng_seed,
         feasible=feasible_all,
         wall_time=time.perf_counter() - t_start,
-        verification=verification,
     )
     return fn, state
 

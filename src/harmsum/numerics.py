@@ -36,6 +36,11 @@ _SPLIT_MIN_BITS = 16_000
 # entries per term, so its size follows the support and not one large value.
 _FACTOR_TABLE_MAX = 1 << 21
 _TABLE_PER_TERM = 16
+# verify_abs_below doubles its precision up to this bound: a 2^13-bit mantissa
+# stays within Python's 4300-digit limit on int-to-str conversion.
+MAX_PRECISION_BITS = 1 << 13
+# default_precision's reference when there is no positive target.
+_REFERENCE_ETA = Fraction(1, 10**15)
 _LOG2_10 = math.log2(10)
 _POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -546,53 +551,37 @@ def compare_to_threshold(value: BigFixed, eta: BigFixed) -> Comparison:
     return Comparison.INDETERMINATE
 
 
-def default_precision(support_size: int, eta_target: Fraction) -> int:
-    """Working precision: enough bits that |support| ulps stay below eta/2."""
-    if eta_target <= 0:
-        raise ValueError("eta_target must be positive")
-    ratio = Fraction(max(support_size, 1)) / Fraction(eta_target)
+def default_precision(
+    support_size: int, eta_target: Fraction | None, value: Fraction | None = None
+) -> int:
+    """Working precision: enough bits that |support| ulps stay below ref/2.
+
+    ref is eta_target, or 10^-15 when there is no positive target, lowered to
+    |value| when a nonzero value lies below it.
+    """
+    ref = eta_target if eta_target is not None and eta_target > 0 else _REFERENCE_ETA
+    if value is not None and 0 < abs(value) < ref:
+        ref = abs(value)
+    ratio = Fraction(max(support_size, 1)) / Fraction(ref)
     return max(1, math.ceil(math.log2(float(ratio)))) + 16
 
 
-class VerificationLog:
-    """Records every threshold comparison so suites can audit outcomes."""
-
-    def __init__(self):
-        self.entries: list[tuple[str, Comparison, int]] = []
-
-    def record(self, label: str, outcome: Comparison, bits: int):
-        self.entries.append((label, outcome, bits))
-
-    def indeterminate_accepts(self) -> list[str]:
-        return [lbl for lbl, out, _ in self.entries if out is Comparison.INDETERMINATE]
-
-
 def verify_abs_below(
-    value: Fraction,
-    eta: Fraction,
-    start_bits: int = 64,
-    max_bits: int = 4096,
-    label: str = "",
-    log: VerificationLog | None = None,
-) -> tuple[Comparison, BigFixed, int]:
-    """Decide |value| vs eta through BigFixed intervals, escalating precision.
+    value: Fraction, eta: Fraction, start_bits: int = 64
+) -> tuple[bool, BigFixed, int]:
+    """Decide |value| <= eta and render value at the precision that shows it.
 
-    Both inputs are exact, so the loop terminates with a determinate answer
-    unless |value| equals eta, in which case BELOW is returned (the contract
-    everywhere in this package is a non-strict bound).
+    The verdict is the exact non-strict comparison. The BigFixed is value at
+    the first precision start_bits * 2^j whose interval compare_to_threshold
+    decides, else at MAX_PRECISION_BITS; the third item is that precision.
     """
     value = Fraction(value)
     eta = Fraction(eta)
-    bits = start_bits
-    while bits <= max_bits:
+    bits = min(start_bits, MAX_PRECISION_BITS)
+    v = BigFixed.from_fraction(value, bits)
+    while bits < MAX_PRECISION_BITS and compare_to_threshold(
+        v, BigFixed.from_fraction(eta, bits)
+    ) is Comparison.INDETERMINATE:
+        bits = min(2 * bits, MAX_PRECISION_BITS)
         v = BigFixed.from_fraction(value, bits)
-        outcome = compare_to_threshold(v, BigFixed.from_fraction(eta, bits))
-        if outcome is not Comparison.INDETERMINATE:
-            break
-        bits *= 2
-    else:
-        outcome = Comparison.BELOW if abs(value) <= eta else Comparison.ABOVE
-        v, bits = BigFixed.from_fraction(value, max_bits), max_bits
-    if log is not None:
-        log.record(label, outcome, bits)
-    return outcome, v, bits
+    return abs(value) <= eta, v, bits

@@ -140,6 +140,8 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
                      "target_eta": "1"}}, 2, None),
         (["verify", "--signs", "{path}"], {"report": {"signs": _SIGNS}}, 2,
          "no target eta stored or provided"),
+        (["verify", "--signs", "{path}"], {"report": {"signs": _SIGNS, "target_eta": None}}, 2,
+         "no target eta stored or provided"),
         (["verify", "--signs", "{path}"], {"report": {"signs": _SIGNS, "target_eta": "abc"}},
          2, None),
         (["verify", "--signs", "{path}"],
@@ -149,7 +151,7 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
-         "range-past-int64", "no-target", "target-not-rational", "x0-list", "pipeline-infeasible"],
+         "range-past-int64", "no-target", "null-target", "target-not-rational", "x0-list", "pipeline-infeasible"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
     path = tmp_path / "input.json"
@@ -189,6 +191,13 @@ def test_negative_eta_exits_usage_without_record(tmp_path, capsys, argv):
 def test_zero_eta_is_still_a_target(tmp_path, capsys):
     report = _write_report(tmp_path / "r.json", [[1, 2]], [[1, 2]], "1")
     assert cli.run(["verify", "--signs", str(report), "--eta", "0"]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().out.splitlines()[-1] == "Above"
+
+
+@pytest.mark.parametrize("stored", [0, "0"], ids=["int", "str"])
+def test_stored_zero_target_is_a_target(tmp_path, capsys, stored):
+    report = _write_report(tmp_path / "r.json", [[1, 2]], [[1, 2]], stored)
+    assert cli.run(["verify", "--signs", str(report)]) == cli.EXIT_INFEASIBLE
     assert capsys.readouterr().out.splitlines()[-1] == "Above"
 
 
@@ -424,6 +433,43 @@ def test_pipeline_cli_reports_infeasible(tmp_path):
     payload = json.loads(out.read_text())
     reports = payload["report"]["scale_reports"]
     assert len(reports) == 2 and all(r["identity_ok"] for r in reports)
+
+
+
+def _interval(obj: dict) -> tuple[Fraction, Fraction]:
+    """The interval of a BigFixed as a record writes it."""
+    m, err, one = int(obj["mantissa"]), int(obj["err_ulps"]), Fraction(1, 1 << obj["scale_bits"])
+    return (m - err) * one, (m + err) * one
+
+
+def test_pipeline_zero_eta_writes_a_record(tmp_path):
+    out = tmp_path / "pipe.json"
+    code = cli.run(
+        ["pipeline", "--scales", "400,3200", "--allow-nonpositive-delta", "--max-free", "20",
+         "--eta", "0", "--out", str(out)]
+    )
+    assert code == cli.EXIT_INFEASIBLE
+    reports = json.loads(out.read_text())["report"]["scale_reports"]
+    assert len(reports) == 2
+    for r in reports:
+        lo, hi = _interval(r["achieved"])
+        # achieved_exact is rendered to 24 digits, far inside the interval
+        assert not r["met"] and 0 < lo <= Fraction(r["achieved_exact"]) <= hi
+
+
+def test_construct_target_at_its_own_value_is_met(tmp_path):
+    # lcm(2..40) has 16 digits, so the record holds achieved_exact as p/q
+    args = ["construct", "--interval", "2..40", "--method", "mitm", "--x0", "1/10"]
+    first, tie = tmp_path / "first.json", tmp_path / "tie.json"
+    assert cli.run(args + ["--out", str(first)]) == cli.EXIT_OK
+    achieved = json.loads(first.read_text())["report"]["achieved_exact"]
+    assert cli.run(args + ["--eta", achieved, "--out", str(tie)]) == cli.EXIT_OK
+    report = json.loads(tie.read_text())["report"]
+    # no interval decides a tie, so the rendering runs to the cap
+    assert report["target_met"] is True and report["achieved_exact"] == achieved
+    assert report["achieved"]["scale_bits"] == cli.MAX_PRECISION_BITS
+    lo, hi = _interval(report["achieved"])
+    assert lo <= Fraction(achieved) <= hi
 
 
 @pytest.mark.parametrize(

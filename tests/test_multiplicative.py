@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from harmsum import multiplicative as mult
-from harmsum.numerics import Comparison, rational_sum
+from harmsum.numerics import BigFixed, Comparison, compare_to_threshold, rational_sum
 from harmsum.sieve import SieveTable
 from harmsum.support import SupportSet
 
@@ -177,17 +177,15 @@ def test_pipeline_locality_and_blocks(sieve_small):
     assert mid1[0] >= top0[1]
 
 
-def test_pipeline_verification_never_indeterminate(sieve_small):
-    from harmsum.numerics import VerificationLog
-
-    log = VerificationLog()
-    mult.log_mean_pipeline(
-        sieve_small,
-        scales=[2000, 16000],
-        allow_nonpositive_delta=True,
-        verification=log,
+def test_pipeline_achieved_interval_decides_met(sieve_small):
+    _, state = mult.log_mean_pipeline(
+        sieve_small, scales=[2000, 16000], allow_nonpositive_delta=True
     )
-    assert log.entries and not log.indeterminate_accepts()
+    for r in state.scale_reports:
+        assert r.achieved.contains(r.achieved_exact)
+        eta = BigFixed.from_fraction(r.eta_target, r.achieved.scale_bits)
+        side = Comparison.BELOW if r.met else Comparison.ABOVE
+        assert compare_to_threshold(r.achieved, eta) is side
 
 
 def _full_sum(fn: mult.MultiplicativeFn, ms) -> Fraction:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from harmsum.numerics import (
+    MAX_PRECISION_BITS,
     BigFixed,
     Comparison,
     compare_to_threshold,
@@ -131,10 +132,23 @@ def test_default_precision_resolves_comparisons():
     assert Fraction(1000, 1 << bits) < eta / 2
 
 
+
+def test_default_precision_reference_and_value():
+    ref = Fraction(1, 10**15)
+    for eta in (None, Fraction(0)):
+        assert default_precision(1000, eta) == default_precision(1000, ref)
+        # a nonzero value below the reference lowers it; zero does not
+        assert default_precision(1000, eta, Fraction(-1, 10**20)) == default_precision(
+            1000, Fraction(1, 10**20)
+        )
+        assert default_precision(1000, eta, Fraction(0)) == default_precision(1000, ref)
+    assert default_precision(1000, Fraction(1, 10)) < default_precision(1000, ref)
+
+
 def test_verify_abs_below_escalates():
-    out, _, _ = verify_abs_below(Fraction(1, 10**30), Fraction(1, 10**29), start_bits=32)
-    assert out is Comparison.BELOW
-    out, _, _ = verify_abs_below(Fraction(1, 10**29), Fraction(1, 10**30), start_bits=32)
-    assert out is Comparison.ABOVE
-    out, _, _ = verify_abs_below(Fraction(1, 7), Fraction(1, 7), start_bits=32)
-    assert out is Comparison.BELOW  # non-strict contract at exact equality
+    met, _, bits = verify_abs_below(Fraction(1, 10**30), Fraction(1, 10**29), start_bits=32)
+    assert met and bits == 128
+    met, _, bits = verify_abs_below(Fraction(1, 10**29), Fraction(1, 10**30), start_bits=32)
+    assert not met and bits == 128
+    met, _, bits = verify_abs_below(Fraction(1, 7), Fraction(1, 7), start_bits=32)
+    assert met and bits == MAX_PRECISION_BITS  # non-strict contract at exact equality

@@ -1,6 +1,7 @@
 """Property tests: interval containment, the shared exact and fixed-point sum
-helpers against Fraction references, the RLE round-trip, values_range and the
-record writer against json.dumps."""
+helpers against Fraction references, verify_abs_below against the exact
+comparison, the RLE round-trip, values_range and the record writer against
+json.dumps."""
 
 import json
 import math
@@ -18,18 +19,22 @@ from harmsum import multiplicative as mult
 from harmsum import numerics
 from harmsum.numerics import (
     DEFAULT_LCM_BIT_BUDGET,
+    MAX_PRECISION_BITS,
     BigFixed,
+    Comparison,
     ResourceBudgetError,
     _half_sums,
     _json_text,
     _plain,
     _round_nearest,
     _sci,
+    compare_to_threshold,
     exact_rational_sum,
     fraction_str,
     rational_sum,
     rounded_units,
     unit_sum,
+    verify_abs_below,
 )
 from harmsum.sieve import SieveTable
 from harmsum.support import SignSequence, SupportSet
@@ -326,6 +331,39 @@ def test_rounded_sum_contains_exact(case, bits):
     assert bf.scale_bits == bits and bf.contains(exact)
     assert bf.err_ulps == sum(1 for n in ns if (1 << bits) % n)
     assert bf.mantissa == sum(s * _round_nearest(1 << bits, n)[0] for n, s in zip(ns, signs))
+
+
+@st.composite
+def thresholds(draw):
+    """An exact value and a threshold eta >= 0: |value| itself (a tie), 0, a
+    dyadic step from |value|, or any rational."""
+    value = draw(fractions)
+    step = Fraction(draw(st.integers(-3, 3)), 1 << draw(st.integers(1, 300)))
+    other = abs(draw(fractions))
+    eta = draw(st.sampled_from([abs(value), Fraction(0), abs(value) + step, other]))
+    return value, max(eta, Fraction(0))
+
+
+@PROPERTY_SETTINGS
+@given(thresholds(), st.integers(1, 300))
+@example((Fraction(1, 7), Fraction(1, 7)), 32)  # a tie
+@example((Fraction(0), Fraction(0)), 1)  # a tie at 0
+@example((Fraction(-3, 4), Fraction(0)), 5)
+@example((Fraction(1, 3), Fraction(1, 3)), 70)  # a tie whose doublings skip the cap
+def test_verify_abs_below_decides_exactly(case, start):
+    value, eta = case
+    met, v, bits = verify_abs_below(value, eta, start)
+    assert met == (abs(value) <= eta)
+    assert v.scale_bits == bits and v.contains(value)
+    ratio, rem = divmod(bits, start)
+    assert bits == MAX_PRECISION_BITS or (rem == 0 and ratio & (ratio - 1) == 0)
+    if bits < MAX_PRECISION_BITS:  # decided: the interval lies on the verdict's side
+        lo, hi = v.interval()
+        assert max(-lo, hi) < eta if met else eta < max(lo, -hi)
+    if start < bits:  # and the precision before it was not
+        half = BigFixed.from_fraction(value, bits // 2)
+        undecided = compare_to_threshold(half, BigFixed.from_fraction(eta, bits // 2))
+        assert bits == MAX_PRECISION_BITS or undecided is Comparison.INDETERMINATE
 
 
 @PROPERTY_SETTINGS
