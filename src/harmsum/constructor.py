@@ -1,6 +1,6 @@
-"""Sign-sequence construction: bounded greedy, target flipping, alternating
-prefixes, meet-in-the-middle refinement, rough-basis subset extraction and the
-dense-set pipelines that chain them together."""
+"""Sign-sequence construction: bounded greedy, target flipping,
+meet-in-the-middle refinement, rough-basis subset extraction and the dense-set
+pipelines that chain them together."""
 
 from __future__ import annotations
 
@@ -195,48 +195,6 @@ def flip_to_target(s: SupportSet, alpha) -> FlipResult:
     if min(plus) > 0 and abs(total) <= abs(alpha):  # no prefix sum exceeds |alpha|
         return FlipResult(feasible=False, signs=None, error=None, deficit=abs(alpha) - abs(total))
     return FlipResult(feasible=True, signs=SignSequence(s, signs), error=total - alpha)
-
-
-def alternating_prefix(n_scale: int) -> tuple[SignSequence, Fraction]:
-    """Alternating +,- signs on [1, 2J] with J = floor(N / 4e^2).
-
-    Returns (SignSequence, exact alternating sum); the sum lies in (1/2, 1].
-    """
-    j = int(n_scale / (4.0 * math.e**2))
-    if j < 1:
-        raise ValueError("scale too small: alternating prefix needs J >= 1")
-    sup = SupportSet.interval(1, 2 * j)
-    signs = np.where(sup.values % 2 == 1, 1, -1).astype(np.int8)
-    seq = SignSequence(sup, signs)
-    return seq, exact_rational_sum(seq)
-
-
-def small_prefix_construction(n_scale: int) -> ConstructionReport:
-    """Signs on [1, N/2] with exact-verified |sum| <= 2/N.
-
-    Alternating prefix on [1, 2J], then a target flip on (2J, N/2] aimed at
-    cancelling the prefix value.
-    """
-    if n_scale < 64:
-        raise ValueError("scale must be >= 64")
-    t0 = time.perf_counter()
-    prefix, alpha = alternating_prefix(n_scale)
-    rest = SupportSet.interval(prefix.support.max() + 1, n_scale // 2)
-    flip = flip_to_target(rest, -alpha)
-    if not flip.feasible:
-        raise InfeasibleError(f"flip deficit {flip.deficit} at scale {n_scale}")
-    rep = ConstructionReport._from_signs(
-        prefix.merge(flip.signs),
-        Fraction(0),
-        Fraction(2, n_scale),
-        "Flip",
-        None,
-        t0,
-        {"alternating_sum": alpha, "flip_error": flip.error},
-    )
-    if not rep.target_met:
-        raise RuntimeError(f"prefix construction violated 2/N at N={n_scale}")
-    return rep
 
 
 def _spread_indices(n_items: int, count: int) -> np.ndarray:
@@ -660,6 +618,21 @@ def achieved_exponent(achieved: Fraction, n_scale: int) -> float | None:
     return math.log(-math.log(af)) / math.log(n_scale)
 
 
+def _lone_prime(a: SupportSet, sieve: SieveTable) -> int | None:
+    """Largest prime that divides exactly one element of A, or None.
+
+    Such a prime p shows that no signed sum of 1/n over A is 0: p divides the
+    denominator of the one term 1/n with p | n, and not that of the sum of the
+    other terms.
+    """
+    in_a = np.zeros(a.max() + 1, dtype=bool)
+    in_a[a.values] = True
+    for p in sieve.primes_in(0, a.max()).values[::-1].tolist():
+        if np.count_nonzero(in_a[p::p]) == 1:
+            return p
+    return None
+
+
 def dense_set_signs(
     a0: SupportSet,
     n_scale: int,
@@ -707,12 +680,15 @@ def dense_set_signs(
     if target_eta is None:
         target_eta = _default_dense_target(n_scale)
     x0 = -prefix_sum
+    # A sum of exactly 0 is out of reach when a prime divides a single n,
+    # so more free elements cannot meet a zero target.
+    lone = _lone_prime(a0n, sieve) if target_eta == 0 else None
     attempts: list[int] = []
     free = min(max_free, MAX_FREE_LIMIT)
     while True:
         attempts.append(free)
         rep = mitm_optimize(main_sup, x0, max_free=free, seed=seed, target_eta=target_eta)
-        if rep.target_met or free >= MAX_FREE_LIMIT:
+        if rep.target_met or free >= MAX_FREE_LIMIT or lone is not None:
             break
         free = min(free + 2, MAX_FREE_LIMIT)
     details = {
@@ -725,6 +701,8 @@ def dense_set_signs(
         "max_free_attempts": attempts,
         "theta_hat": achieved_exponent(rep.achieved_exact, n_scale),
     }
+    if lone is not None:
+        details["zero_excluded_by_prime"] = lone
     report = ConstructionReport._from_signs(
         prefix_seq.merge(rep.signs), Fraction(0), target_eta, "Pipeline", seed, t_start, details
     )

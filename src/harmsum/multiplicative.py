@@ -1,7 +1,6 @@
 """Completely multiplicative +/-1 functions: evaluation, partial and
-logarithmic means, the modified quadratic character mod 3, crossing search,
-and the two-block inductive pipeline that drives logarithmic means small at a
-chain of scales."""
+logarithmic means, the modified quadratic character mod 3, and the two-block
+inductive pipeline that drives logarithmic means small at a chain of scales."""
 
 from __future__ import annotations
 
@@ -23,8 +22,6 @@ from .numerics import (
     BigFixed,
     default_precision,
     rational_sum,
-    rounded_units,
-    unit_sum,
     verify_abs_below,
 )
 from .sieve import SieveTable
@@ -111,12 +108,6 @@ class MultiplicativeFn:
             return 0
         return int(self._partial_sums()[n])
 
-    def log_mean(self, n: int, scale_bits: int) -> BigFixed:
-        """L(f, n) = sum of f(m)/m for m <= n, with err <= n ulps."""
-        if n < 1 or n > self.limit:
-            raise ValueError("n outside supported range")
-        return unit_sum(np.arange(1, n + 1), scale_bits, self.values_range()[1 : n + 1])
-
     def log_mean_exact(self, n: int) -> Fraction:
         """Exact L(f, n); denominator is lcm(1..n), so keep n moderate."""
         if n < 1 or n > self.limit:
@@ -155,38 +146,6 @@ def chi3_star_check(k_max: int, sieve: SieveTable) -> Chi3Report:
         if m != expected and witness is None:
             witness = k
     return Chi3Report(k_max=k_max, values=rows, ok=witness is None, witness=witness)
-
-
-class PrecisionExhausted(Exception):
-    """Interval arithmetic could not certify a sign at the working precision."""
-
-
-def first_negative_crossing(fn: MultiplicativeFn, limit: int, scale_bits: int = 48):
-    """Smallest C <= limit with sum_{n<=C} f(n)/n < 0, or None.
-
-    Decided by integer interval arithmetic: terms are 2^P / n rounded to
-    nearest, so the accumulated error in ulps is at most the number of
-    inexact terms so far, err, and a partial sum is certified negative iff
-    cum + err < 0. Inconclusive prefixes raise PrecisionExhausted rather
-    than guessing.
-    """
-    if limit > fn.limit:
-        raise ValueError("limit exceeds the function's supported range")
-    if scale_bits > 48:
-        raise ValueError("scale_bits above 48 risks int64 overflow")
-    vals = fn.values_range()[1 : limit + 1]
-    units, inexact = rounded_units(np.arange(1, limit + 1), scale_bits)
-    cum = np.cumsum(np.where(vals > 0, units, -units))
-    err = np.cumsum(inexact)
-    certain_neg = cum + err < 0
-    # A certified crossing counts only if every earlier partial sum's sign is decided.
-    stop = int(np.argmax(certain_neg)) if certain_neg.any() else limit
-    undecided = np.flatnonzero(np.abs(cum[:stop]) <= err[:stop])
-    if undecided.size:
-        raise PrecisionExhausted(
-            f"sign of the partial sum at n={undecided[0] + 1} is below the error bound"
-        )
-    return stop + 1 if stop < limit else None
 
 
 @dataclass
@@ -247,10 +206,6 @@ class PipelineError(Exception):
 class PipelineArgumentError(PipelineError, ValueError):
     """The scales, the block constant or the sieve do not fit the pipeline:
     a usage error, not an infeasible outcome."""
-
-
-def make_scales(n0: int, factor: int, count: int) -> list[int]:
-    return [n0 * factor**i for i in range(count)]
 
 
 def _block_intervals(n: int, c: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -138,13 +138,6 @@ class BigFixed:
     def __abs__(self) -> "BigFixed":
         return BigFixed(abs(self.mantissa), self.scale_bits, self.err_ulps)
 
-    def mul_fraction(self, q: Fraction) -> "BigFixed":
-        """Multiply by an exact rational, rounding to nearest (err +1 ulp)."""
-        q = Fraction(q)
-        m, inexact = _round_nearest(self.mantissa * q.numerator, q.denominator)
-        err = -((-self.err_ulps * abs(q.numerator)) // q.denominator)  # ceil
-        return BigFixed(m, self.scale_bits, err + inexact)
-
     def to_decimal_string(self, sig: int = 15) -> str:
         val = _sci(self.value_fraction(), sig)
         if self.err_ulps == 0:

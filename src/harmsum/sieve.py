@@ -1,6 +1,6 @@
-"""Arithmetic-function infrastructure: smallest-prime-factor tables, prime
-counting helpers, smooth/rough decompositions, smooth-number counts and the
-Dickman density function."""
+"""Arithmetic-function infrastructure: smallest-prime-factor tables,
+smooth/rough decompositions, smooth-number counts and the Dickman density
+function."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .numerics import BigFixed, ResourceBudgetError, unit_sum
+from .numerics import ResourceBudgetError
 from .support import SupportSet
 
 # Hard cap on sieve size, so that every n fits int32: at the cap the int32
@@ -43,8 +43,7 @@ class SieveTable:
             raise ResourceBudgetError(f"sieve limit {limit} exceeds budget")
         self.limit = int(limit)
         self.spf, self.primes = self._build(self.limit)
-        self._omega_mult: np.ndarray | None = None
-        self._omega_distinct: np.ndarray | None = None
+        self._omega: np.ndarray | None = None
         self._lpf: np.ndarray | None = None
 
     @staticmethod
@@ -67,10 +66,6 @@ class SieveTable:
         if n < 1 or n > self.limit:
             raise SieveRangeError(f"{n} outside sieve range [1, {self.limit}]")
 
-    def spf_of(self, n: int) -> int:
-        self._check(n)
-        return int(self.spf[n])
-
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization as (p, exponent) pairs, ascending."""
         self._check(n)
@@ -86,9 +81,6 @@ class SieveTable:
 
     def big_omega(self, n: int) -> int:
         return sum(e for _, e in self.factorize(n))
-
-    def small_omega(self, n: int) -> int:
-        return len(self.factorize(n))
 
     def liouville(self, n: int) -> int:
         return -1 if self.big_omega(n) & 1 else 1
@@ -113,21 +105,14 @@ class SieveTable:
             lo = hi
         return t
 
-    def omega_table(self, with_multiplicity: bool = True) -> np.ndarray:
-        """Table of Omega(n) (or omega(n)) for 0..limit; Omega(0)=Omega(1)=0."""
-        if with_multiplicity:
-            if self._omega_mult is None:
-                self._omega_mult = self._by_smallest_prime(0, lambda t, p, m: t[m] + 1, np.int8)
-            return self._omega_mult
-        if self._omega_distinct is None:
-            self._omega_distinct = self._by_smallest_prime(
-                0, lambda t, p, m: t[m] + (self.spf[m] != p), np.int8
-            )
-        return self._omega_distinct
+    def omega_table(self) -> np.ndarray:
+        """Table of Omega(n) for 0..limit; Omega(0) = Omega(1) = 0."""
+        if self._omega is None:
+            self._omega = self._by_smallest_prime(0, lambda t, p, m: t[m] + 1, np.int8)
+        return self._omega
 
     def liouville_table(self) -> np.ndarray:
-        om = self.omega_table(with_multiplicity=True)
-        return np.where(om & 1, -1, 1).astype(np.int8)
+        return np.where(self.omega_table() & 1, -1, 1).astype(np.int8)
 
     def lpf_table(self) -> np.ndarray:
         """Largest prime factor for 0..limit (lpf(1) = 1)."""
@@ -146,10 +131,6 @@ class SieveTable:
         i = np.searchsorted(self.primes, a, side="right")
         j = np.searchsorted(self.primes, b, side="right")
         return SupportSet(self.primes[i:j])
-
-    def prime_reciprocal_sum(self, a: int, b: int, scale_bits: int) -> BigFixed:
-        """Error-bounded sum of 1/p over primes in (a, b]."""
-        return unit_sum(self.primes_in(a, b).values, scale_bits)
 
     def rough_smooth_split(self, n: int, y: int) -> RoughSmoothSplit:
         """Split n into its y-rough and y-smooth parts."""
@@ -173,12 +154,6 @@ class SieveTable:
         )
         return r[values]
 
-    def rough_part_set(self, a: SupportSet, eps1: float, n_scale: int) -> SupportSet:
-        """Deduplicated set of rough parts of A at threshold y = n_scale^eps1."""
-        if not 0 < eps1 < 1:
-            raise ValueError("eps1 must be in (0, 1)")
-        return SupportSet(np.unique(self.rough_parts(a.values, int(n_scale**eps1))))
-
     def psi_count(self, x: int, y: int) -> int:
         """Number of y-smooth integers in [1, x] (n = 1 counts)."""
         if x < 1 or y < 1:
@@ -186,18 +161,6 @@ class SieveTable:
         self._check(x)
         lpf = self.lpf_table()
         return int(np.count_nonzero(lpf[1 : x + 1] <= y))
-
-    def select_low_omega_subset(self, a: SupportSet, n_scale: int) -> SupportSet:
-        """Elements of A with Omega(n) <= 2 log log n_scale (natural logs)."""
-        if n_scale < 16:
-            raise ValueError("scale must be >= 16 for a meaningful log log")
-        bound = 2.0 * math.log(math.log(n_scale))
-        om = self.omega_table(with_multiplicity=True)
-        vals = a.values
-        if len(vals) and int(vals[-1]) > self.limit:
-            raise SieveRangeError("support exceeds sieve range")
-        mask = om[vals] <= bound
-        return SupportSet(vals[mask])
 
 
 _RHO_CACHE: dict[float, tuple[np.ndarray, float]] = {}

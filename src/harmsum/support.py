@@ -86,9 +86,6 @@ class SupportSet:
         j = np.searchsorted(self.values, hi, side="right")
         return SupportSet(self.values[i:j])
 
-    def difference(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet(np.setdiff1d(self.values, other.values, assume_unique=True))
-
     def intersection(self, other: "SupportSet") -> "SupportSet":
         return SupportSet(np.intersect1d(self.values, other.values, assume_unique=True))
 
@@ -159,10 +156,6 @@ class SignSequence:
             raise ValueError("signs must be +1 or -1")
         self.support = support
         self.signs = arr
-
-    @classmethod
-    def constant(cls, support: SupportSet, sign: int = 1) -> "SignSequence":
-        return cls(support, np.full(len(support), sign, dtype=np.int8))
 
     def sign_of(self, n: int) -> int:
         i = np.searchsorted(self.support.values, n)

@@ -181,26 +181,6 @@ def test_flip_error_bound_chain():
     assert abs(res.error) <= Fraction(1, 64)
 
 
-def test_alternating_prefix():
-    seq, alpha = ctor.alternating_prefix(64)
-    assert alpha == Fraction(7, 12)
-    assert list(seq.items()) == [(1, 1), (2, -1), (3, 1), (4, -1)]
-    _, alpha = ctor.alternating_prefix(89)  # J = 3
-    assert alpha == Fraction(37, 60)
-    _, alpha = ctor.alternating_prefix(10_000)
-    assert Fraction(69, 100) < alpha < Fraction(6935, 10000)
-    with pytest.raises(ValueError):
-        ctor.alternating_prefix(20)
-
-
-def test_small_prefix_construction():
-    for n in (64, 1024):
-        rep = ctor.small_prefix_construction(n)
-        assert rep.achieved_exact <= Fraction(2, n)
-        assert rep.signs.support == SupportSet.interval(1, n // 2)
-        assert abs(exact_rational_sum(rep.signs)) == rep.achieved_exact
-
-
 def test_mitm_trivial_and_exact():
     rep = ctor.mitm_optimize(SupportSet([2]), Fraction(1, 2))
     assert rep.achieved_exact == 0
@@ -389,6 +369,33 @@ def test_dense_set_signs_degenerate_prefix(sieve_small):
     a = SupportSet.interval(200, 512)
     with pytest.raises((ctor.InfeasibleError, ctor.DensityRequirementError)):
         ctor.dense_set_signs(a, 512, 0.9, 0.2, seed=0, sieve=sieve_small)
+
+
+def test_dense_set_signs_zero_target_stops_at_lone_prime(sieve_small, monkeypatch):
+    # 251 divides no other n in [1, 256], so no signs sum to exactly 0 and
+    # more free elements cannot help; each call runs at 20 free to stay quick
+    optimize, asked = ctor.mitm_optimize, []
+
+    def recording(a, x0, max_free=48, **kwargs):
+        asked.append(max_free)
+        return optimize(a, x0, max_free=min(max_free, 20), **kwargs)
+
+    monkeypatch.setattr(ctor, "mitm_optimize", recording)
+    rep = ctor.dense_set_signs(
+        SupportSet.interval(1, 256),
+        256,
+        1.0,
+        0.2,
+        seed=1,
+        sieve=sieve_small,
+        target_eta=Fraction(0),
+        max_free=32,
+    )
+    assert asked == rep.details["max_free_attempts"] == [32]
+    assert rep.details["zero_excluded_by_prime"] == 251
+    assert not rep.target_met
+    # every prime divides two of 2, 3, 6 or none, so nothing is ruled out
+    assert ctor._lone_prime(SupportSet([2, 3, 6]), sieve_small) is None
 
 
 def test_upper_density_scales(sieve_small):

@@ -64,14 +64,13 @@ def enclosures(draw):
 
 
 @PROPERTY_SETTINGS
-@given(enclosures(), enclosures(), fractions)
-def test_bigfixed_containment(a, b, q):
+@given(enclosures(), enclosures())
+def test_bigfixed_containment(a, b):
     (x, xv), (y, yv) = a, b
     assert x.contains(xv) and y.contains(yv)
     assert (x + y).contains(xv + yv)
     assert (-x).contains(-xv)
     assert (x - y).contains(xv - yv)
-    assert x.mul_fraction(q).contains(xv * q)
 
 
 def _random_runs(n: int, rng) -> list[int]:

@@ -5,15 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from harmsum.numerics import unit_sum
 from harmsum.sieve import SieveTable, dickman_rho
-from harmsum.support import SupportSet
 
 
 def test_spf_examples(sieve_small):
-    assert sieve_small.spf_of(12) == 2
-    assert sieve_small.spf_of(97) == 97
-    assert sieve_small.spf_of(91) == 7
-    assert SieveTable(100).spf_of(91) == 7
+    assert sieve_small.spf[12] == 2
+    assert sieve_small.spf[97] == 97
+    assert sieve_small.spf[91] == 7
+    assert SieveTable(100).spf[91] == 7
 
 
 def test_spf_structure(sieve_small):
@@ -28,7 +28,6 @@ def test_spf_structure(sieve_small):
 
 def test_omega_liouville_examples(sieve_small):
     assert sieve_small.big_omega(12) == 3
-    assert sieve_small.small_omega(12) == 2
     assert sieve_small.liouville(12) == -1
     assert sieve_small.big_omega(1) == 0 and sieve_small.liouville(1) == 1
     assert sieve_small.big_omega(1024) == 10 and sieve_small.liouville(1024) == 1
@@ -49,11 +48,9 @@ def test_liouville_multiplicative_through_table(sieve_small):
 def test_tables_match_factorization(limit):
     # first block, exact powers of two and a partial last block
     table = SieveTable(limit)
-    big, small = table.omega_table(True), table.omega_table(False)
-    lpf, lam = table.lpf_table(), table.liouville_table()
+    big, lpf, lam = table.omega_table(), table.lpf_table(), table.liouville_table()
     for n in range(1, limit + 1):
         assert big[n] == table.big_omega(n)
-        assert small[n] == table.small_omega(n)
         assert lpf[n] == max((p for p, _ in table.factorize(n)), default=1)
         assert lam[n] == table.liouville(n)
 
@@ -62,13 +59,11 @@ def test_tables_match_factorization_past_block_cap():
     # blocks hold at most 2^20 entries, so [2^21, 2^21 + 5] lies in a capped block
     limit = 2**21 + 5
     table = SieveTable(limit)
-    big, small = table.omega_table(True), table.omega_table(False)
-    lpf, lam = table.lpf_table(), table.liouville_table()
+    big, lpf, lam = table.omega_table(), table.lpf_table(), table.liouville_table()
     rng = np.random.default_rng(7)
     edges = [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**19, 2**21 - 1, 2**21, limit]
     for n in edges + [int(n) for n in rng.integers(2**20, limit + 1, size=2000)]:
         assert big[n] == table.big_omega(n)
-        assert small[n] == table.small_omega(n)
         assert lpf[n] == max(p for p, _ in table.factorize(n))
         assert lam[n] == table.liouville(n)
 
@@ -96,12 +91,12 @@ def test_primes_in(sieve_small):
 
 
 def test_prime_reciprocal_sum(sieve_small, sieve_million):
-    bf = sieve_small.prime_reciprocal_sum(2, 3, 64)
+    bf = unit_sum(sieve_small.primes_in(2, 3).values, 64)
     assert bf.contains(Fraction(1, 3))
-    assert sieve_small.prime_reciprocal_sum(13, 13, 32).mantissa == 0
+    assert unit_sum(sieve_small.primes_in(13, 13).values, 32).mantissa == 0
     # PNT proximity at 1e6: within 10/log^2 N of log 2 / log N
     n = 1_000_000
-    val = float(sieve_million.prime_reciprocal_sum(n // 2, n, 64).value_fraction())
+    val = float(unit_sum(sieve_million.primes_in(n // 2, n).values, 64).value_fraction())
     assert abs(val - math.log(2) / math.log(n)) <= 10.0 / math.log(n) ** 2
 
 
@@ -125,21 +120,19 @@ def test_rough_smooth_split(sieve_small):
 
 
 def test_rough_part_set(sieve_small):
-    a = SupportSet([2, 3, 4])
-    assert list(sieve_small.rough_part_set(a, 0.5, 100)) == [1]
-    a = SupportSet([22, 33])
-    assert list(sieve_small.rough_part_set(a, 0.5, 100)) == [11]
+    # y = 100^(1/2) = 10
+    assert np.unique(sieve_small.rough_parts(np.array([2, 3, 4]), 10)).tolist() == [1]
+    assert np.unique(sieve_small.rough_parts(np.array([22, 33]), 10)).tolist() == [11]
 
 
 def test_rough_part_set_density(sieve_million):
     n = 100_000
-    a = SupportSet.interval(1, n)
-    r = sieve_million.rough_part_set(a, 0.1, n)
+    r = np.unique(sieve_million.rough_parts(np.arange(1, n + 1), int(n**0.1)))
     assert len(r) >= n**0.9
     # every rough part obeys the Omega(r) <= floor(1/eps1) cap
     k_cap = 10
     rng = np.random.default_rng(4)
-    for x in rng.choice(r.values, size=200):
+    for x in rng.choice(r, size=200):
         if int(x) > 1:
             assert sieve_million.big_omega(int(x)) <= k_cap
 
@@ -172,19 +165,3 @@ def test_dickman_rho_monotone_and_stable():
         coarse = dickman_rho(u, step=1e-3)
         fine = dickman_rho(u, step=5e-4)
         assert abs(coarse - fine) <= 10 * 1e-6 * max(fine, 1e-12)
-
-
-def test_select_low_omega_subset(sieve_million):
-    n = 100_000
-    primes = sieve_million.primes_in(n, 2 * n)
-    assert sieve_million.select_low_omega_subset(primes, n) == primes
-    powers = SupportSet([2**k for k in range(6, 18)])
-    # 2 log log N ~ 4.9 at this scale, so high powers of two all drop
-    filtered = sieve_million.select_low_omega_subset(powers, n)
-    assert all(sieve_million.big_omega(x) <= 2 * math.log(math.log(n)) for x in filtered)
-    assert 2**12 not in filtered
-    full = SupportSet.interval(n + 1, 2 * n)
-    kept = sieve_million.select_low_omega_subset(full, n)
-    assert len(kept) >= len(full) / 2
-    with pytest.raises(ValueError):
-        sieve_million.select_low_omega_subset(full, 15)
