@@ -247,6 +247,8 @@ def _cmd_density(args) -> int:
     n = args.n
     table = SieveTable(n)
     a = SupportSet.from_spec(args.a, n) if args.a else SupportSet.interval(n // 2, n)
+    if not len(a):
+        raise _UsageError("A must be nonempty")
     if args.b:
         b = SupportSet.from_spec(args.b, n)
     else:
@@ -259,12 +261,11 @@ def _cmd_density(args) -> int:
     ts = dens.sample_t_values(t0, t_upper, args.count, args.seed)
     cert = dens.decay_certificate(a, b, n, args.k, ts)
     if args.profile_out:
-        profile = dens.density_profile(a, ts)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "log_abs_rho", "bound_log"])
-        for t, lr, bl in profile.rows():
-            writer.writerow([f"{t:.9e}", f"{lr:.9e}", f"{bl:.9e}"])
+        for row in zip(cert.t_values, cert.log_rho, cert.bound_log):
+            writer.writerow([f"{v:.9e}" for v in row])
         Path(args.profile_out).write_text(buf.getvalue())
     _emit(_record(args, cert, started), args.out)
     return EXIT_OK if cert.ok else EXIT_INFEASIBLE
@@ -306,6 +307,8 @@ def _cmd_construct(args) -> int:
             sup, args.x0, eta, seed=args.seed, max_iters=args.max_iters
         )
     else:  # pipeline: prefix + meet-in-the-middle over a dense set
+        if args.n is None and not len(sup):
+            raise _UsageError("support must be nonempty")
         n = args.n if args.n is not None else sup.max()
         table = SieveTable(n)
         try:

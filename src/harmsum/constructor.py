@@ -8,7 +8,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -147,20 +146,16 @@ def _certified_greedy(ns: list[int], start, scale_bits: int = GREEDY_SCALE_BITS)
     return signs
 
 
-def greedy_bounded(a: SupportSet, with_trace: bool = False):
+def greedy_bounded(a: SupportSet) -> tuple[SignSequence, Fraction]:
     """Greedy signs over A in increasing order; every prefix sum stays in [-1, 1].
 
-    Returns (SignSequence, exact sum); with_trace appends the list of exact
-    partial sums, derived from the signs.
+    Returns (SignSequence, exact sum).
     """
     if not len(a):
         raise ValueError("support must be nonempty")
     ns = a.values.tolist()
     signs = _certified_greedy(ns, 0)
-    seq, total = SignSequence(a, signs), rational_sum(ns, signs)
-    if with_trace:
-        return seq, total, list(accumulate(Fraction(s, n) for n, s in zip(ns, signs)))
-    return seq, total
+    return SignSequence(a, signs), rational_sum(ns, signs)
 
 
 def greedy_toward(a: SupportSet, target) -> tuple[SignSequence, Fraction]:

@@ -34,12 +34,6 @@ ETA_SCALE_BITS = 96
 ETA_DIGITS = 60
 
 
-def nearest_int_distance(x: float) -> float:
-    """Distance from x to the nearest integer."""
-    r = x - math.floor(x)
-    return min(r, 1.0 - r)
-
-
 def gaussian_cos_bound(theta: float) -> tuple[float, float]:
     """Return (|cos(2*pi*theta)|, exp(-2*pi^2*||theta||^2)).
 
@@ -47,58 +41,21 @@ def gaussian_cos_bound(theta: float) -> tuple[float, float]:
     GAUSSIAN_BOUND_VALID_LIMIT; callers must not rely on it beyond that.
     """
     lhs = abs(math.cos(2.0 * math.pi * theta))
-    d = nearest_int_distance(theta)
+    r = theta - math.floor(theta)
+    d = min(r, 1.0 - r)
     rhs = math.exp(-2.0 * math.pi**2 * d * d)
     return lhs, rhs
 
 
-def _exact_cos_vanishes(t_num: int, t_den: int, n: int) -> bool:
-    """Whether cos(2*pi*t/n) is exactly zero for rational t = t_num/t_den."""
-    # cos(2*pi*x) = 0  iff  4x is an odd integer.
-    num = 4 * t_num
-    den = t_den * n
-    if num % den:
-        return False
-    return (num // den) % 2 != 0
+def _phases(ns: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(||t/n||, log|cos(2*pi*t/n)|) for each n in the float array ns.
 
-
-def char_fn_log_abs(a: SupportSet, t) -> float:
-    """log of the absolute characteristic-function product over A at t.
-
-    Returns -inf when any cosine factor vanishes; for int or Fraction t the
-    vanishing test is exact, for float t it relies on the evaluated cosine.
+    |cos| is floored at the least normal float, so a cosine that evaluates to
+    exactly 0 contributes log(tiny) ~ -708 rather than -inf.
     """
-    if not len(a):
-        raise ValueError("support must be nonempty")
-    ns = a.values.astype(np.float64)
-    if isinstance(t, (int, np.integer)):
-        t_num, t_den = int(t), 1
-    elif isinstance(t, Fraction):
-        t_num, t_den = t.numerator, t.denominator
-    else:
-        t_num = t_den = None
-    tf = float(t)
-    ratios = np.mod(tf / ns, 1.0)
-    cosines = np.cos(2.0 * np.pi * ratios)
-    absc = np.abs(cosines)
-    if t_num is not None:
-        for n in a.values[absc < 1e-9]:
-            if _exact_cos_vanishes(t_num, t_den, int(n)):
-                return float("-inf")
-    elif np.any(absc == 0.0):
-        return float("-inf")
-    absc = np.maximum(absc, np.finfo(np.float64).tiny)
-    return float(np.sum(np.log(absc)))
-
-
-def s_count(b: SupportSet, t: float, delta: float) -> int:
-    """Count of n in B with ||t/n|| <= delta."""
-    if not 0 <= delta <= 0.5:
-        raise ValueError("delta must lie in [0, 1/2]")
-    ns = b.values.astype(np.float64)
-    r = np.mod(float(t) / ns, 1.0)
-    dist = np.minimum(r, 1.0 - r)
-    return int(np.count_nonzero(dist <= delta))
+    r = np.mod(t / ns, 1.0)
+    absc = np.maximum(np.abs(np.cos(2.0 * np.pi * r)), np.finfo(np.float64).tiny)
+    return np.minimum(r, 1.0 - r), np.log(absc)
 
 
 def delta_choice(b_size: int, n_scale: int, k: int, t: float) -> float:
@@ -188,45 +145,13 @@ def eta_budget(
 
 
 @dataclass
-class DensityProfile:
-    """Sampled log|rho_A(t)| together with a rigorous per-point upper bound."""
-
-    t_values: np.ndarray
-    log_abs_rho: np.ndarray
-    bound_log: np.ndarray
-
-    def rows(self):
-        for t, lr, bl in zip(self.t_values, self.log_abs_rho, self.bound_log):
-            yield float(t), float(lr), float(bl)
-
-
-def density_profile(a: SupportSet, t_values) -> DensityProfile:
-    """Evaluate the characteristic product and its upper bound on a t-grid.
-
-    The bound applies the Gaussian factor only where it is valid
-    (||t/n|| <= GAUSSIAN_BOUND_VALID_LIMIT) and falls back to the exact
-    factor elsewhere, so log_abs_rho <= bound_log holds at every point.
-    """
-    ts = np.asarray(t_values, dtype=np.float64)
-    ns = a.values.astype(np.float64)
-    log_rho = np.empty(len(ts))
-    bound = np.empty(len(ts))
-    two_pi_sq = 2.0 * math.pi**2
-    for i, t in enumerate(ts):
-        r = np.mod(t / ns, 1.0)
-        dist = np.minimum(r, 1.0 - r)
-        absc = np.abs(np.cos(2.0 * np.pi * r))
-        absc = np.maximum(absc, np.finfo(np.float64).tiny)
-        logs = np.log(absc)
-        log_rho[i] = float(np.sum(logs))
-        use_gauss = dist <= GAUSSIAN_BOUND_VALID_LIMIT
-        bound[i] = float(np.sum(np.where(use_gauss, -two_pi_sq * dist * dist, logs)))
-    return DensityProfile(t_values=ts, log_abs_rho=log_rho, bound_log=bound)
-
-
-@dataclass
 class DecayCertificate:
-    """Checked decay of |rho_A| on sampled frequencies in (t0, t_upper]."""
+    """Checked decay of |rho_A| on sampled frequencies in (t0, t_upper].
+
+    bound_log holds, per sample, an upper bound on log_rho: the Gaussian
+    factor -2*pi^2*||t/n||^2 where ||t/n|| <= GAUSSIAN_BOUND_VALID_LIMIT and
+    the exact log|cos(2*pi*t/n)| elsewhere.
+    """
 
     n_scale: int
     a_size: int
@@ -236,9 +161,8 @@ class DecayCertificate:
     t_upper: float
     t_window_fallback: bool
     t_values: list[float] = field(default_factory=list)
-    s_counts: list[int] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
     log_rho: list[float] = field(default_factory=list)
+    bound_log: list[float] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
     feasible: bool = True
     note: str = ""
@@ -305,7 +229,7 @@ def decay_certificate(
     k: int,
     t_samples,
 ) -> DecayCertificate:
-    """Check s_count(B,t,delta(t)) <= |B|/2 and log|rho_A(t)| <= -2 log t.
+    """Check #{n in B : ||t/n|| <= delta(t)} <= |B|/2 and log|rho_A(t)| <= -2 log t.
 
     The caller supplies the sample frequencies (see certificate_window and
     sample_t_values); every violation is reported with its witness t.
@@ -332,14 +256,17 @@ def decay_certificate(
         cert.note = "certificate needs at least one sampled t"
         return cert
     half = len(b) / 2.0
+    ns = a.values.astype(np.float64)
+    in_b = np.searchsorted(a.values, b.values)
+    gauss = -2.0 * math.pi**2
     for t in t_samples.tolist():
-        delta = delta_choice(len(b), n_scale, k, t)
-        sc = s_count(b, t, delta)
-        lr = char_fn_log_abs(a, t)
+        dist, logs = _phases(ns, t)
+        sc = int(np.count_nonzero(dist[in_b] <= delta_choice(len(b), n_scale, k, t)))
+        lr = float(np.sum(logs))
+        near = dist <= GAUSSIAN_BOUND_VALID_LIMIT
         cert.t_values.append(t)
-        cert.deltas.append(delta)
-        cert.s_counts.append(sc)
         cert.log_rho.append(lr)
+        cert.bound_log.append(float(np.sum(np.where(near, gauss * dist * dist, logs))))
         if sc > half:
             cert.violations.append({"t": t, "kind": "s_count", "count": sc, "bound": half})
         if not lr <= -2.0 * math.log(t):

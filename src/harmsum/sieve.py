@@ -79,12 +79,6 @@ class SieveTable:
             out.append((p, e))
         return out
 
-    def big_omega(self, n: int) -> int:
-        return sum(e for _, e in self.factorize(n))
-
-    def liouville(self, n: int) -> int:
-        return -1 if self.big_omega(n) & 1 else 1
-
     def _by_smallest_prime(self, first, step, dtype, top: int | None = None) -> np.ndarray:
         """Table t over 0..top (default limit) with t[0] = 0, t[1] = first
         and, for n >= 2, t[n] = step(t, p, m) with p = spf(n) and m = n // p

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,9 +94,6 @@ class SupportSet:
     def reciprocal_sum(self) -> Fraction:
         """Exact sum of 1/n over the set."""
         return rational_sum(self.values, [1] * len(self))
-
-    def lcm(self) -> int:
-        return math.lcm(*self.values.tolist())
 
     def to_ranges(self) -> list[list[int]]:
         """Maximal runs of consecutive integers as [lo, hi] pairs."""

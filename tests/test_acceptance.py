@@ -48,7 +48,7 @@ def test_criterion_01_oracle_equivalence():
         a = SupportSet(ns)
         x0 = Fraction(int(rng.integers(0, 10**6)), 10**6 * 20)
         rep = ctor.mitm_optimize(a, x0, max_free=52)
-        den = a.lcm() * x0.denominator
+        den = math.lcm(*a.values.tolist()) * x0.denominator
         target = x0.numerator * (den // x0.denominator)
         sums = np.zeros(1, dtype=np.int64)
         for n in a.values:

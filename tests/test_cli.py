@@ -148,10 +148,15 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
          {"report": {"signs": _SIGNS, "target_eta": "1"}, "config": {"x0": [1]}}, 2, None),
         (["construct", "--set", "mod 5: 1", "--n", "300", "--method", "pipeline"], None, 1,
          None),
+        (["density", "--n", "2000", "--a", "5..4"], None, 2, "A must be nonempty"),
+        (["construct", "--set", "5..4", "--method", "pipeline"], None, 2,
+         "support must be nonempty"),
+        (["construct", "--set", "5..4", "--n", "300", "--method", "pipeline"], None, 1, None),
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
-         "range-past-int64", "no-target", "null-target", "target-not-rational", "x0-list", "pipeline-infeasible"],
+         "range-past-int64", "no-target", "null-target", "target-not-rational", "x0-list", "pipeline-infeasible",
+         "density-empty-a", "pipeline-empty-set", "pipeline-empty-set-with-n"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
     path = tmp_path / "input.json"
@@ -408,19 +413,28 @@ def test_bare_sieve_exits_usage_without_building_a_table(monkeypatch):
     assert cli.run(["sieve"]) == cli.EXIT_USAGE
 
 
+# sha256 of the profile CSV and of the record without wall_time and
+# config.profile_out; the second run ends in three decay violations
+DENSITY_RUNS = [
+    (["--n", "2000", "--count", "50", "--seed", "3"], 0,
+     "4ec65a3241be22b9634dca59781f32d2495dfa4d6acccac573716604e5e4e9b5",
+     "871e2d3ddc168b4ff6769d9cc7f313fc7286180b51727a694a13a0c23bbbac2d"),
+    (["--n", "40", "--a", "12..40", "--k", "3", "--count", "500", "--seed", "5"], 1,
+     "1fedc0b4ce0768476156069b7575fe019e52f2a5cd4a0f5338061c39e366fcb5",
+     "5dd4a9dc24a35b46133d63c20223a47b732f062beea0ee84b7ae3d5136ba1242"),
+]
+
+
 def test_density_certificate_cli(tmp_path):
-    out = tmp_path / "cert.json"
-    prof = tmp_path / "profile.csv"
-    code = cli.run(
-        ["density", "--n", "2000", "--count", "50", "--seed", "3",
-         "--out", str(out), "--profile-out", str(prof)]
-    )
-    assert code == cli.EXIT_OK
-    payload = json.loads(out.read_text())
-    assert payload["report"]["ok"] and payload["report"]["samples"] == 50
-    lines = prof.read_text().splitlines()
-    assert lines[0] == "t,log_abs_rho,bound_log"
-    assert len(lines) == 51
+    out, prof = tmp_path / "cert.json", tmp_path / "profile.csv"
+    for argv, code, csv_digest, record_digest in DENSITY_RUNS:
+        assert cli.run(["density", *argv, "--out", str(out), "--profile-out", str(prof)]) == code
+        assert prof.read_text().splitlines()[0] == "t,log_abs_rho,bound_log"
+        assert hashlib.sha256(prof.read_bytes()).hexdigest() == csv_digest
+        payload = _strip_wall_time(json.loads(out.read_text()))
+        payload["config"].pop("profile_out")
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == record_digest
 
 
 def test_pipeline_cli_reports_infeasible(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -75,15 +76,19 @@ def test_greedy_bounded_examples():
     assert list(seq.items()) == [(1, 1), (2, -1)] and total == Fraction(1, 2)
 
 
+def _prefix_sums(seq) -> list[Fraction]:
+    return list(accumulate(Fraction(s, n) for n, s in seq.items()))
+
+
 def test_greedy_bounded_prefix_invariant():
-    _, _, trace = ctor.greedy_bounded(SupportSet.interval(1, 1000), with_trace=True)
-    assert all(abs(t) <= 1 for t in trace)
+    seq, _ = ctor.greedy_bounded(SupportSet.interval(1, 1000))
+    assert all(abs(t) <= 1 for t in _prefix_sums(seq))
     rng = np.random.default_rng(21)
     for _ in range(50):
         size = int(rng.integers(1, 40))
         ns = np.sort(rng.choice(np.arange(1, 2000), size=size, replace=False))
-        _, _, trace = ctor.greedy_bounded(SupportSet(ns), with_trace=True)
-        assert all(abs(t) <= 1 for t in trace)
+        seq, _ = ctor.greedy_bounded(SupportSet(ns))
+        assert all(abs(t) <= 1 for t in _prefix_sums(seq))
 
 
 @PROPERTY_SETTINGS
@@ -100,9 +105,9 @@ def test_certified_greedy_matches_exact_weights(case, bits):
 def test_greedy_values_derived_from_signs(case):
     ns, start = case
     a = SupportSet(ns)
-    seq, total, trace = ctor.greedy_bounded(a, with_trace=True)
+    seq, total = ctor.greedy_bounded(a)
     assert seq.signs.tolist() == _reference_greedy(ns, Fraction(0))
-    assert total == exact_rational_sum(seq) == trace[-1]
+    assert total == exact_rational_sum(seq) == _prefix_sums(seq)[-1]
     seq, total = ctor.greedy_toward(a, -start)
     assert seq.signs.tolist() == _reference_greedy(ns, start)
     assert total == exact_rational_sum(seq)
@@ -197,7 +202,7 @@ def test_mitm_matches_exhaustive_oracle():
         a = SupportSet(ns)
         x0 = Fraction(int(rng.integers(0, 1001)), 1000 * 20)
         rep = ctor.mitm_optimize(a, x0, max_free=52)
-        den = a.lcm() * x0.denominator
+        den = math.lcm(*a.values.tolist()) * x0.denominator
         sums = [0]
         for n in a.values:
             w = den // int(n)
@@ -281,7 +286,7 @@ def _scalar_rough_basis(a, n_scale, eps0, sieve, eps1_floor=1.0 / 64):
             if split.rough not in pairs or split.smooth < pairs[split.rough]:
                 pairs[split.rough] = split.smooth
         if len(pairs) >= target:
-            k = max((sieve.big_omega(r) for r in pairs if r > 1), default=1)
+            k = max((sum(e for _, e in sieve.factorize(r)) for r in pairs if r > 1), default=1)
             note = "" if target == n_scale ** (1.0 - eps0) else "target capped at |A|"
             return (sorted(r * s for r, s in pairs.items()), sorted(pairs), list(pairs.items()),
                     eps1, max(k, 1), True, note)

@@ -14,31 +14,34 @@ from harmsum.numerics import BigFixed
 from harmsum.support import SupportSet
 
 
+def _log_rho(values, t: float) -> float:
+    return float(np.sum(dens._phases(np.asarray(values, dtype=np.float64), t)[1]))
+
+
+def _count(values, t: float, delta: float) -> int:
+    dist = dens._phases(np.asarray(values, dtype=np.float64), t)[0]
+    return int(np.count_nonzero(dist <= delta))
+
+
 def test_char_fn_examples():
-    assert dens.char_fn_log_abs(SupportSet([1]), 7) == pytest.approx(0.0, abs=1e-12)
-    assert dens.char_fn_log_abs(SupportSet([4]), 1) == -math.inf
-    got = dens.char_fn_log_abs(SupportSet([2, 3]), 1)
-    assert got == pytest.approx(math.log(0.5), abs=1e-12)
+    assert _log_rho([1], 7.0) == pytest.approx(0.0, abs=1e-12)
+    assert _log_rho([2, 3], 1.0) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_char_fn_even_and_at_zero():
-    a = SupportSet([3, 7, 11, 19])
-    assert dens.char_fn_log_abs(a, 0) == pytest.approx(0.0, abs=1e-15)
+    a = [3, 7, 11, 19]
+    assert _log_rho(a, 0.0) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(7)
     for t in rng.uniform(0.1, 50.0, size=25):
-        assert dens.char_fn_log_abs(a, float(t)) == pytest.approx(
-            dens.char_fn_log_abs(a, float(-t)), abs=1e-9
-        )
+        assert _log_rho(a, float(t)) == pytest.approx(_log_rho(a, float(-t)), abs=1e-9)
 
 
 def test_monotone_domination():
     rng = np.random.default_rng(8)
-    a = SupportSet(np.sort(rng.choice(np.arange(10, 300), size=40, replace=False)))
-    b = SupportSet(np.sort(rng.choice(a.values, size=15, replace=False)))
+    a = np.sort(rng.choice(np.arange(10, 300), size=40, replace=False))
+    b = np.sort(rng.choice(a, size=15, replace=False))
     for t in rng.uniform(1.0, 500.0, size=30):
-        la = dens.char_fn_log_abs(a, float(t))
-        lb = dens.char_fn_log_abs(b, float(t))
-        assert la <= lb + 1e-9
+        assert _log_rho(a, float(t)) <= _log_rho(b, float(t)) + 1e-9
 
 
 def test_gaussian_cos_bound_examples():
@@ -67,21 +70,19 @@ def test_gaussian_cos_bound_valid_range():
     assert violations and min(violations) < 0.29
 
 
-def test_s_count_examples():
-    b = SupportSet([10, 11])
-    assert dens.s_count(b, 10.5, 0.06) == 2
-    assert dens.s_count(b, 10.5, 0.5) == 2
-    assert dens.s_count(b, 0.0, 0.01) == 2
-    assert dens.s_count(SupportSet([7, 9, 13]), 1.2, 0.0) == 0
-    with pytest.raises(ValueError):
-        dens.s_count(b, 1.0, 0.6)
+def test_resonance_count_examples():
+    b = [10, 11]
+    assert _count(b, 10.5, 0.06) == 2
+    assert _count(b, 10.5, 0.5) == 2
+    assert _count(b, 0.0, 0.01) == 2
+    assert _count([7, 9, 13], 1.2, 0.0) == 0
 
 
-def test_s_count_monotone_in_delta():
+def test_resonance_count_monotone_in_delta():
     rng = np.random.default_rng(9)
-    b = SupportSet(np.sort(rng.choice(np.arange(5, 500), size=60, replace=False)))
+    b = np.sort(rng.choice(np.arange(5, 500), size=60, replace=False))
     t = 123.456
-    counts = [dens.s_count(b, t, d) for d in np.linspace(0.0, 0.5, 26)]
+    counts = [_count(b, t, d) for d in np.linspace(0.0, 0.5, 26)]
     assert counts == sorted(counts)
     assert counts[-1] == len(b)
 
@@ -142,12 +143,20 @@ def test_certificate_window_needs_t0_above_e():
     assert t0 == 11 / 4
 
 
-def test_density_profile_bound_holds():
+def test_certificate_bound_log_holds():
     rng = np.random.default_rng(10)
     a = SupportSet(np.sort(rng.choice(np.arange(50, 2000), size=120, replace=False)))
     ts = rng.uniform(10.0, 5000.0, size=50)
-    prof = dens.density_profile(a, ts)
-    assert np.all(prof.log_abs_rho <= prof.bound_log + 1e-9)
+    cert = dens.decay_certificate(a, a, 2000, 1, ts)
+    assert cert.t_values == ts.tolist()
+    assert np.all(np.array(cert.log_rho) <= np.array(cert.bound_log) + 1e-9)
+
+
+def test_certificate_planted_resonance():
+    # 120 is a multiple of every n in B, so ||120/n|| = 0 for all three
+    b = SupportSet([20, 24, 30])
+    cert = dens.decay_certificate(SupportSet.interval(20, 40), b, 40, 1, [120.0])
+    assert cert.violations == [{"t": 120.0, "kind": "s_count", "count": 3, "bound": 1.5}]
 
 
 def test_certificate_small_scale(sieve_small):

