@@ -1,7 +1,8 @@
 """Command-line front end: experiment records, CSV/JSON emission, exit codes.
 
-Exit codes: 0 on success, 1 on an infeasible outcome or a failed
-verification, 2 on usage errors and exceeded resource or sieve limits.
+Exit codes: 0 on success, 1 on an infeasible outcome (`InfeasibleError`) or a
+failed verification, 2 on usage errors (`ValueError`, `SieveRangeError`
+included) and exceeded resource limits; `run` alone maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ from .numerics import (
     exact_rational_sum,
     verify_abs_below,
 )
-from .sieve import SieveRangeError, SieveTable, dickman_rho_grid
+from .sieve import SieveTable, dickman_rho_grid
 from .support import SignSequence, SupportSet
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _fraction(text: str) -> Fraction:
@@ -144,13 +141,13 @@ def _parse_args(argv):
             if attr in actions and hasattr(args, attr) and attr not in given:
                 setattr(args, attr, _config_value(actions[attr], key, val))
     if args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
-        raise _UsageError(
+        raise ValueError(
             f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}], got {args.precision_bits}"
         )
     if getattr(args, "eta", None) is not None and args.eta < 0:
-        raise _UsageError(f"--eta must be >= 0, got {args.eta}")
+        raise ValueError(f"--eta must be >= 0, got {args.eta}")
     return args
 
 
@@ -172,7 +169,7 @@ def _read_json_object(path: str, flag: str) -> dict:
     value is a usage error."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
-        raise _UsageError(f"{flag} {path}: not a JSON object")
+        raise ValueError(f"{flag} {path}: not a JSON object")
     return obj
 
 
@@ -182,9 +179,9 @@ def _config_value(action: argparse.Action, key: str, val):
         try:
             val = action.type(str(val))
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            raise _UsageError(f"--config {key}: {exc}") from exc
+            raise ValueError(f"--config {key}: {exc}") from exc
     if action.choices is not None and val not in action.choices:
-        raise _UsageError(f"--config {key}: {val!r} is not one of {sorted(action.choices)}")
+        raise ValueError(f"--config {key}: {val!r} is not one of {sorted(action.choices)}")
     return val
 
 
@@ -216,10 +213,20 @@ def _record(args, report, started: float) -> str:
     return _json_text(record)
 
 
-def _cmd_sieve(args) -> int:
+def _int_pairs(text: str, flag: str, form: str) -> list[tuple[int, int]]:
+    """The comma-separated integer pairs a:b that a flag's text lists."""
+    pairs = []
+    for part in text.split(","):
+        pair = part.split(":")
+        if len(pair) != 2:
+            raise ValueError(f"{flag}: expected {form}, got {part!r}")
+        pairs.append((int(pair[0]), int(pair[1])))
+    return pairs
+
+
+def _cmd_sieve(args, started: float) -> int:
     if not args.rho and not args.psi:
-        print("nothing to do: pass --psi and/or --rho", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("nothing to do: pass --psi and/or --rho")
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.rho:
@@ -232,31 +239,25 @@ def _cmd_sieve(args) -> int:
     if args.psi:  # only the smooth counts read the --limit table
         table = SieveTable(args.limit)
         writer.writerow(["x", "y", "psi"])
-        for pair in args.psi.split(","):
-            xs, ys = pair.split(":")
-            x, y = int(xs), int(ys)
+        for x, y in _int_pairs(args.psi, "--psi", "x:y"):
             writer.writerow([x, y, table.psi_count(x, y)])
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
-def _cmd_density(args) -> int:
-    started = time.perf_counter()
+def _cmd_density(args, started: float) -> int:
     if args.count < 1:
-        raise _UsageError(f"--count must be >= 1, got {args.count}")
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     n = args.n
-    table = SieveTable(n)
     a = SupportSet.from_spec(args.a, n) if args.a else SupportSet.interval(n // 2, n)
     if not len(a):
-        raise _UsageError("A must be nonempty")
+        raise ValueError("A must be nonempty")
     if args.b:
         b = SupportSet.from_spec(args.b, n)
     else:
-        b = table.primes_in(a.min() - 1, a.max())
-        b = b.intersection(a)
+        b = SieveTable(n).primes_in(a.min() - 1, a.max()).intersection(a)
     if not len(b) or not np.isin(b.values, a.values).all():
-        print("B must be a nonempty subset of A", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("B must be a nonempty subset of A")
     t0, t_upper, _ = dens.certificate_window(n, len(b), args.k, c=a.min() / n)
     ts = dens.sample_t_values(t0, t_upper, args.count, args.seed)
     cert = dens.decay_certificate(a, b, n, args.k, ts)
@@ -274,12 +275,11 @@ def _cmd_density(args) -> int:
 def _support_from_args(args) -> SupportSet:
     spec = args.set or args.interval
     if spec is None:
-        raise _UsageError("a set specification is required (--set or --interval)")
+        raise ValueError("a set specification is required (--set or --interval)")
     return SupportSet.from_spec(spec, args.n)
 
 
-def _cmd_construct(args) -> int:
-    started = time.perf_counter()
+def _cmd_construct(args, started: float) -> int:
     sup = _support_from_args(args)
     exit_code = EXIT_OK
     if args.method == "greedy":
@@ -308,54 +308,41 @@ def _cmd_construct(args) -> int:
         )
     else:  # pipeline: prefix + meet-in-the-middle over a dense set
         if args.n is None and not len(sup):
-            raise _UsageError("support must be nonempty")
+            raise ValueError("support must be nonempty")
         n = args.n if args.n is not None else sup.max()
-        table = SieveTable(n)
-        try:
-            report = ctor.dense_set_signs(
-                sup,
-                n,
-                args.delta,
-                args.eps0,
-                args.seed,
-                table,
-                target_eta=args.eta,
-                max_free=args.max_free,
-            )
-        except (ctor.InfeasibleError, ctor.DensityRequirementError) as exc:
-            _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
-            return EXIT_INFEASIBLE
+        report = ctor.dense_set_signs(
+            sup,
+            n,
+            args.delta,
+            args.eps0,
+            args.seed,
+            SieveTable(n),
+            target_eta=args.eta,
+            max_free=args.max_free,
+        )
     _emit(_record(args, report, started), args.out)
     return exit_code
 
 
-def _cmd_pipeline(args) -> int:
-    started = time.perf_counter()
+def _cmd_pipeline(args, started: float) -> int:
     scales = [int(s) for s in args.scales.split(",") if s.strip()]
-    overrides = {}
-    if args.override:
-        for part in args.override.split(","):
-            p, s = part.split(":")
-            overrides[int(p)] = int(s)
-    table = SieveTable(max(scales))
-    try:
-        _, state = mult.log_mean_pipeline(
-            table,
-            seed_rule=args.seed_rule,
-            seed_overrides=overrides,
-            c_cross=args.c_cross,
-            scales=scales,
-            c0=args.c0,
-            rng_seed=args.seed,
-            target_eta=args.eta,
-            max_free=args.max_free,
-            allow_nonpositive_delta=args.allow_nonpositive_delta,
-        )
-    except mult.PipelineArgumentError:
-        raise  # a ValueError: run maps it to exit 2 without a record
-    except mult.PipelineError as exc:
-        _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
-        return EXIT_INFEASIBLE
+    if not scales:
+        raise ValueError(f"--scales: expected a comma list of integers, got {args.scales!r}")
+    overrides = (
+        dict(_int_pairs(args.override, "--override", "p:+1 or p:-1")) if args.override else {}
+    )
+    _, state = mult.log_mean_pipeline(
+        SieveTable(max(scales)),
+        seed_rule=args.seed_rule,
+        seed_overrides=overrides,
+        c_cross=args.c_cross,
+        scales=scales,
+        c0=args.c0,
+        rng_seed=args.seed,
+        target_eta=args.eta,
+        max_free=args.max_free,
+        allow_nonpositive_delta=args.allow_nonpositive_delta,
+    )
     _emit(_record(args, state, started), args.out)
     return EXIT_OK if state.feasible else EXIT_INFEASIBLE
 
@@ -367,33 +354,32 @@ def _stored_fraction(value, name: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise _UsageError(f"{name} is not a rational: {value!r}")
+    raise ValueError(f"{name} is not a rational: {value!r}")
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args, started: float) -> int:
     payload = _read_json_object(args.signs, "--signs")
     report = payload.get("report", payload)
     config = payload.get("config", {})
     if not isinstance(report, dict) or not isinstance(config, dict):
-        raise _UsageError("the report and the config must be JSON objects")
+        raise ValueError("the report and the config must be JSON objects")
     signs_obj = report.get("signs")
     if signs_obj is None:
-        raise _UsageError("no signs found in the report")
+        raise ValueError("no signs found in the report")
     for key in ("support_ranges", "signs_rle"):
         if not isinstance(signs_obj, dict) or not _is_int_pairs(signs_obj.get(key)):
-            raise _UsageError(f"the report's signs need {key} as a list of [int, int] pairs")
+            raise ValueError(f"the report's signs need {key} as a list of [int, int] pairs")
     try:
         seq = SignSequence.from_obj(signs_obj)
     except OverflowError:  # numpy's int64 conversion of a larger JSON int
-        raise _UsageError("the report's signs hold an integer outside int64") from None
+        raise ValueError("the report's signs hold an integer outside int64") from None
     target = args.eta
     if target is None and report.get("target_eta") is not None:
         target = _stored_fraction(report["target_eta"], "target_eta")
         if target < 0:
-            raise _UsageError(f"target_eta must be >= 0, got {target}")
+            raise ValueError(f"target_eta must be >= 0, got {target}")
     if target is None:
-        raise _UsageError("no target eta stored or provided")
+        raise ValueError("no target eta stored or provided")
     # A report states its target for |sum - x0|, with x0 from its command's
     # config; a flip report for |sum - alpha|.
     key = "alpha" if config.get("method") == "flip" else "x0"
@@ -414,12 +400,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if met else EXIT_INFEASIBLE
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args, started: float) -> int:
     sup = _support_from_args(args)
     if len(sup) > dens.EXHAUSTIVE_LIMIT:
-        print(f"oracle capped at {dens.EXHAUSTIVE_LIMIT} elements", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"oracle capped at {dens.EXHAUSTIVE_LIMIT} elements")
     x0 = Fraction(args.x0)
     # All elements free: the meet-in-the-middle search returns the exact
     # optimum over all 2^n sign vectors.
@@ -446,15 +430,26 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage, limit or crash)."""
+    """Entry point returning an exit code (0 ok, 1 infeasible, 2 usage, limit or crash).
+
+    The one place that turns exceptions into exit codes: InfeasibleError is
+    an outcome, written as an {"infeasible": ...} record with exit 1; every
+    other exception caught here exits 2 with one stderr line and no record.
+    """
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        started = time.perf_counter()
+        try:  # nested, so that an error writing the record below reaches the outer handlers
+            return _COMMANDS[args.command](args, started)
+        except ctor.InfeasibleError as exc:
+            _emit(_record(args, {"infeasible": str(exc)}, started), args.out)
+            return EXIT_INFEASIBLE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # OSError: an input file that is missing or unreadable; ValueError also
-    # covers json.JSONDecodeError, an input file that is not JSON.
-    except (_UsageError, ValueError, OSError, ResourceBudgetError, SieveRangeError) as exc:
+    # covers json.JSONDecodeError, an input file that is not JSON, and
+    # SieveRangeError, a query outside a sieve's range.
+    except (ValueError, OSError, ResourceBudgetError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a resource limit, never an infeasible outcome

@@ -36,11 +36,7 @@ EPS1_FLOOR = 1.0 / 64  # least rough-part exponent rough_basis_subset tries
 
 
 class InfeasibleError(Exception):
-    """Raised when a construction's stated precondition cannot be met."""
-
-
-class DensityRequirementError(ValueError):
-    """The input set is not dense enough for the requested construction."""
+    """Valid inputs miss a construction's stated precondition: an outcome, not a usage error."""
 
 
 @dataclass(frozen=True)
@@ -653,9 +649,7 @@ def dense_set_signs(
     t_start = time.perf_counter()
     a0n = a0.restrict(1, n_scale)
     if len(a0n) < delta * n_scale:
-        raise DensityRequirementError(
-            f"|A0 cap [N]| = {len(a0n)} < delta*N = {delta * n_scale}"
-        )
+        raise InfeasibleError(f"|A0 cap [N]| = {len(a0n)} < delta*N = {delta * n_scale}")
     m = int(delta * n_scale / 2)
     prefix_sup = a0n.restrict(1, m - 1)
     if not len(prefix_sup):

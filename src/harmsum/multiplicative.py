@@ -14,6 +14,7 @@ import numpy as np
 from .constructor import (
     ConstructionReport,
     FlipResult,
+    InfeasibleError,
     _spread_indices,
     flip_to_target,
     mitm_optimize,
@@ -199,15 +200,6 @@ class PipelineState:
         return obj
 
 
-class PipelineError(Exception):
-    """A pipeline precondition failed outright."""
-
-
-class PipelineArgumentError(PipelineError, ValueError):
-    """The scales, the block constant or the sieve do not fit the pipeline:
-    a usage error, not an infeasible outcome."""
-
-
 def _block_intervals(n: int, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (n // (c + 1), n // c), (n // 2, n)
 
@@ -245,24 +237,24 @@ def log_mean_pipeline(
     t_start = time.perf_counter()
     scales = list(scales) if scales is not None else [2000, 16000]
     if sorted(scales) != scales:
-        raise PipelineArgumentError("scales must be increasing")
+        raise ValueError("scales must be increasing")
     if c_cross < 2:
-        raise PipelineArgumentError("block constant must be >= 2")
+        raise ValueError("block constant must be >= 2")
     if scales[0] <= (c_cross + 1) ** 2:
-        raise PipelineArgumentError(
+        raise ValueError(
             f"first scale must exceed (C+1)^2 = {(c_cross + 1) ** 2} for a valid block split"
         )
     for a, b in zip(scales, scales[1:]):
         if b < 8 * a or b <= (c_cross + 1) * a:
-            raise PipelineArgumentError("each scale must be >= 8x and > (C+1)x the previous one")
+            raise ValueError("each scale must be >= 8x and > (C+1)x the previous one")
     if scales[-1] > sieve.limit:
-        raise PipelineArgumentError("sieve limit below the top scale")
+        raise ValueError("sieve limit below the top scale")
     fn = MultiplicativeFn(sieve, seed_rule, seed_overrides)
     seed_fn = fn
     l_c = seed_fn.log_mean_exact(c_cross)
     delta = -l_c
     if delta <= 0 and not allow_nonpositive_delta:
-        raise PipelineError(
+        raise InfeasibleError(
             f"Delta = -L(seed, {c_cross}) = {delta} is not positive; "
             "no admissible crossing at this constant"
         )
@@ -277,13 +269,11 @@ def log_mean_pipeline(
     for n in scales:
         notes: list[str] = []
         (mid_lo, mid_hi), (top_lo, top_hi) = _block_intervals(n, c_cross)
-        mid_primes = SupportSet(
-            [int(p) for p in sieve.primes_in(mid_lo, mid_hi) if n // int(p) == c_cross]
-        )
+        # Every prime p in the mid block has n // p == C, and the top block
+        # (n/2, n] holds a prime by Bertrand's postulate.
+        mid_primes = sieve.primes_in(mid_lo, mid_hi)
         top_primes = sieve.primes_in(top_lo, top_hi)
         intervals.append([[mid_lo, mid_hi], [top_lo, top_hi]])
-        if not len(top_primes):
-            raise PipelineError(f"no primes in the top block at scale {n}")
         # Split [1, N] into the m no block prime divides, whose f(m) no step
         # below may change, and the multiples of block primes.
         mask = np.ones(n + 1, dtype=bool)

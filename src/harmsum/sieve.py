@@ -16,8 +16,8 @@ from .support import SupportSet
 MAX_SIEVE_LIMIT = 200_000_000
 
 
-class SieveRangeError(Exception):
-    """Raised when a query lies outside the sieve's tabulated range."""
+class SieveRangeError(ValueError):
+    """Raised when a query lies outside the sieve's tabulated range (a usage error)."""
 
 
 @dataclass(frozen=True)

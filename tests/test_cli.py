@@ -127,7 +127,7 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
         (["construct", "--method", "mitm"], None, 2, None),
         (["density", "--n", "2000", "--b", "3..5"], None, 2,
          "B must be a nonempty subset of A"),
-        (["oracle", "--interval", "1..26"], None, 2, None),
+        (["oracle", "--interval", "1..26"], None, 2, "oracle capped at 25 elements"),
         (["verify", "--signs", "{path}"], {"report": [1]}, 2, None),
         (["verify", "--signs", "{path}"], {"config": [1], "report": {}}, 2, None),
         # a pipeline record stores no top-level signs and reads the same way
@@ -152,11 +152,20 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
         (["construct", "--set", "5..4", "--method", "pipeline"], None, 2,
          "support must be nonempty"),
         (["construct", "--set", "5..4", "--n", "300", "--method", "pipeline"], None, 1, None),
+        (["pipeline", "--scales", "2000,4000"], None, 2,
+         "each scale must be >= 8x and > (C+1)x the previous one"),
+        (["sieve"], None, 2, "nothing to do: pass --psi and/or --rho"),
+        (["pipeline", "--override", "3"], None, 2, "--override: expected p:+1 or p:-1, got '3'"),
+        (["sieve", "--psi", "10"], None, 2, "--psi: expected x:y, got '10'"),
+        (["pipeline", "--scales", ","], None, 2,
+         "--scales: expected a comma list of integers, got ','"),
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
          "range-past-int64", "no-target", "null-target", "target-not-rational", "x0-list", "pipeline-infeasible",
-         "density-empty-a", "pipeline-empty-set", "pipeline-empty-set-with-n"],
+         "density-empty-a", "pipeline-empty-set", "pipeline-empty-set-with-n",
+         "pipeline-scale-ratio", "sieve-nothing-to-do", "override-not-a-pair", "psi-not-a-pair",
+         "scales-empty"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
     path = tmp_path / "input.json"
@@ -716,6 +725,47 @@ FIXED_SEED_RECORDS = {
     "density": (["density", "--n", "2000", "--count", "20", "--seed", "3"], 0,
                 "a5f26d90ca0db030c67183969ab15331c3198ccd1f1d46540c3da057f9ba21f9"),
 }
+
+
+def _record_digest(path: Path) -> str:
+    """sha256 of a record without wall_time, taken as the fixed-seed digests are."""
+    payload = _strip_wall_time(json.loads(path.read_text()))
+    payload["config"].pop("signs", None)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (["construct", "--set", "mod 7: 1", "--n", "300", "--method", "pipeline"],
+         "e3bf7fa1042157aa112cbbd2585784d3a807d0eb4002aa4646feb330348ff097"),
+        (["construct", "--interval", "200..512", "--n", "512", "--method", "pipeline",
+          "--delta", "0.5"],
+         "a1ba65e3cc2df2e9485bcfbbf20bde7f877469d745bdd8eb5790f4a170c296f5"),
+        # Delta = -L(lambda, 6) = -23/60
+        (["pipeline", "--scales", "2000,16000"],
+         "ae4486b85897d017885347c4101a400995f2f49c5b57e1e87aac97f6d9d59e85"),
+    ],
+    ids=["density-shortfall", "empty-prefix", "nonpositive-delta"],
+)
+def test_infeasible_records_unchanged(tmp_path, argv, digest):
+    out = tmp_path / "out.json"
+    assert cli.run(argv + ["--out", str(out)]) == cli.EXIT_INFEASIBLE
+    assert _record_digest(out) == digest
+
+
+def test_density_with_b_builds_no_sieve(tmp_path, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"density built a sieve to {limit} that a given B never reads")
+
+    monkeypatch.setattr(cli, "SieveTable", no_sieve)
+    out = tmp_path / "out.json"
+    argv = ["density", "--n", "20000000", "--a", "19999000..20000000",
+            "--b", "19999000..19999010", "--count", "5", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_INFEASIBLE
+    # the same record as a run that builds the table and never reads it
+    digest = "735dd33fd120e1af59f80f9c22b2a75c11cddcf3e438e3e34884c3d8039c5c7f"
+    assert _record_digest(out) == digest
 
 
 def test_fixed_seed_records_unchanged(tmp_path):

@@ -365,15 +365,15 @@ def test_dense_set_signs_bookkeeping_check_raises(sieve_small, monkeypatch):
 
 def test_dense_set_signs_density_error(sieve_small):
     sparse = SupportSet([2**k for k in range(1, 9)])
-    with pytest.raises(ctor.DensityRequirementError):
+    with pytest.raises(ctor.InfeasibleError, match="< delta\\*N"):
         ctor.dense_set_signs(sparse, 256, 0.5, 0.2, seed=0, sieve=sieve_small)
 
 
 def test_dense_set_signs_degenerate_prefix(sieve_small):
-    # elements exist but none below delta*N/2
+    # dense enough, but no element below delta*N/2
     a = SupportSet.interval(200, 512)
-    with pytest.raises((ctor.InfeasibleError, ctor.DensityRequirementError)):
-        ctor.dense_set_signs(a, 512, 0.9, 0.2, seed=0, sieve=sieve_small)
+    with pytest.raises(ctor.InfeasibleError, match="prefix range is empty"):
+        ctor.dense_set_signs(a, 512, 0.5, 0.2, seed=0, sieve=sieve_small)
 
 
 def test_dense_set_signs_zero_target_stops_at_lone_prime(sieve_small, monkeypatch):

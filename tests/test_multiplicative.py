@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmsum import multiplicative as mult
+from harmsum.constructor import InfeasibleError
 from harmsum.numerics import BigFixed, Comparison, compare_to_threshold, rational_sum, unit_sum
 from harmsum.sieve import SieveTable
 from harmsum.support import SupportSet
@@ -111,13 +114,27 @@ def test_crossing_on_synthetic_negative_prefix(sieve_small):
 
 
 def test_pipeline_preconditions(sieve_small):
-    with pytest.raises(mult.PipelineError):
+    # shapes that do not fit the pipeline are usage errors
+    with pytest.raises(ValueError, match="each scale must be >= 8x"):
         mult.log_mean_pipeline(sieve_small, scales=[2000, 4000])  # ratio < 8
-    with pytest.raises(mult.PipelineError):
+    with pytest.raises(ValueError, match="first scale must exceed"):
         mult.log_mean_pipeline(sieve_small, scales=[40], c_cross=6)  # below (C+1)^2
-    # Delta = -L(lambda, 6) < 0: strict mode refuses to run
-    with pytest.raises(mult.PipelineError):
+    # Delta = -L(lambda, 6) < 0: strict mode refuses to run, an outcome
+    with pytest.raises(InfeasibleError, match="is not positive"):
         mult.log_mean_pipeline(sieve_small, scales=[2000, 16000])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda c: st.tuples(st.integers(max(10, (c + 1) ** 2 + 1), 10**5), st.just(c))
+))
+def test_block_intervals_need_no_filter(sieve_million, n_c):
+    # every mid-block prime p has n // p == C, and the top block holds a prime
+    # (Bertrand), so the pipeline takes both blocks' primes as they come
+    n, c = n_c
+    (mid_lo, mid_hi), (top_lo, top_hi) = mult._block_intervals(n, c)
+    assert all(n // p == c for p in sieve_million.primes_in(mid_lo, mid_hi))
+    assert len(sieve_million.primes_in(top_lo, top_hi))
 
 
 def test_pipeline_best_effort_floor(sieve_small):
