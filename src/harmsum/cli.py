@@ -220,7 +220,10 @@ def _int_pairs(text: str, flag: str, form: str) -> list[tuple[int, int]]:
         pair = part.split(":")
         if len(pair) != 2:
             raise ValueError(f"{flag}: expected {form}, got {part!r}")
-        pairs.append((int(pair[0]), int(pair[1])))
+        try:
+            pairs.append((int(pair[0]), int(pair[1])))
+        except ValueError:
+            raise ValueError(f"{flag}: expected {form} with integers, got {part!r}") from None
     return pairs
 
 
@@ -231,8 +234,13 @@ def _cmd_sieve(args, started: float) -> int:
     writer = csv.writer(buf)
     if args.rho:
         parts = args.rho.split(":")
-        u_max = float(parts[0])
-        coarse = float(parts[1]) if len(parts) > 1 else 0.1
+        try:
+            u_max = float(parts[0])
+            coarse = float(parts[1]) if len(parts) > 1 else 0.1
+        except ValueError:
+            raise ValueError(
+                f"--rho: expected u_max[:coarse_step] with numbers, got {args.rho!r}"
+            ) from None
         writer.writerow(["u", "rho_u"])
         for u, r in dickman_rho_grid(u_max, coarse):
             writer.writerow([f"{u:.6g}", f"{r:.12e}"])
@@ -325,7 +333,10 @@ def _cmd_construct(args, started: float) -> int:
 
 
 def _cmd_pipeline(args, started: float) -> int:
-    scales = [int(s) for s in args.scales.split(",") if s.strip()]
+    try:
+        scales = [int(s) for s in args.scales.split(",") if s.strip()]
+    except ValueError:
+        scales = []  # malformed: reported below as empty
     if not scales:
         raise ValueError(f"--scales: expected a comma list of integers, got {args.scales!r}")
     overrides = (

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .support import SignSequence, SupportSet
 
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
-MITM_BLOCK = 1 << 14  # queries per block of the fixed-point MITM sweep
+MITM_BLOCK = 1 << 14  # half sums per chunk of _half_chunks: queries per block of the MITM sweep
 MITM_TAIL_UNITS = 6  # units per half looked up by value in _value_indices
 GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
 DENSE_N_MIN = 256  # least scale of dense_set_signs and upper_density_scales
@@ -203,38 +204,54 @@ def _range_positions(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + shift
 
 
-def _positive_half(units: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """(sorted positive _half_sums of `units`, count of zero sums, low sums,
-    tail sums).
+def _half_chunks(units: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """(count of zero sums, low sums, tail sums, chunks) of the half with
+    these units: the chunks are its positive _half_sums, sorted, in
+    ascending chunks of about MITM_BLOCK entries, made one at a time.
 
     Flipping every bit of a sign index negates its sum, so the half's sums
-    sorted are -pos[::-1], then `zeros` zeros, then pos: only pos is kept and
-    sorted, 2^(m-1) entries at most. The half is built from its parts: every
-    half index is a low index over all but the last MITM_TAIL_UNITS units plus
-    a tail index over those, so (tail[:, None] + low[None, :]).ravel() is
-    _half_sums(units) entry for entry. Over the longer part sorted, each sum t
-    of the other part has its positive sums in one suffix, added to t straight
-    into pos. _value_indices looks sign indices up in the same parts.
+    sorted are -pos[::-1], then `zeros` zeros, then pos: only pos is needed,
+    2^(m-1) entries at most. Every half index is a low index over all but the
+    last MITM_TAIL_UNITS units plus a tail index over those, so
+    (tail[:, None] + low[None, :]).ravel() is _half_sums(units) entry for
+    entry, and _value_indices looks sign indices up in the same parts. The
+    sums in [v, w) are, for each tail sum t, the slice of the sorted low sums
+    in [v - t, w - t) plus t: gathered and sorted, they make one chunk, so
+    the half is listed in value order without being stored (Schroeppel and
+    Shamir, 1981). The chunk edges are quantiles of every (MITM_BLOCK >> 6)th
+    sorted low sum plus each tail sum.
     """
     k = max(len(units) - MITM_TAIL_UNITS, 0)
     low, tail = _half_sums(units[:k]), _half_sums(units[k:])
-    inner, outer = (low, tail) if len(low) >= len(tail) else (tail, low)
-    inner = np.sort(inner)
-    pos = np.empty(len(inner) * len(outer) // 2, dtype=np.int64)
-    n = 0
-    for t, cut in zip(outer.tolist(), np.searchsorted(inner, -outer, side="right").tolist()):
-        np.add(inner[cut:], t, out=pos[n : n + len(inner) - cut])
-        n += len(inner) - cut
-    pos = pos[:n]
-    pos.sort()
-    return pos, len(inner) * len(outer) - 2 * n, low, tail
+    if len(low) * len(tail) <= 2 * MITM_BLOCK:  # one chunk: no edges to find
+        sums = (tail[:, None] + low).ravel()
+        pos = np.sort(sums[sums > 0])
+        return len(sums) - 2 * len(pos), low, tail, iter((pos,))
+    ordered = np.sort(low)
+    stride = max(MITM_BLOCK >> 6, 1)
+    sample = (ordered[::stride] + tail[:, None]).ravel()
+    sample = np.sort(sample[sample > 0])
+    step = max(MITM_BLOCK // stride, 1)
+    edges = np.concatenate(([1], sample[step::step], [ordered[-1] + tail.max() + 1]))
+    cuts = np.searchsorted(ordered, edges - tail[:, None])
+    zeros = int((cuts[:, 0] - np.searchsorted(ordered, -tail)).sum())
+
+    def chunks():
+        for lo, hi in zip(cuts.T, cuts.T[1:]):
+            counts = hi - lo
+            if counts.any():
+                chunk = ordered[_range_positions(lo, counts)] + np.repeat(tail, counts)
+                chunk.sort()
+                yield chunk
+
+    return zeros, low, tail, chunks()
 
 
 def _value_indices(
     low: np.ndarray, tail: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, sums): every sign index whose sum is among `values`, with its
-    sum, in the half with these low and tail sums from _positive_half. The
+    sum, in the half with these low and tail sums from _half_chunks. The
     sums come out ascending.
 
     A small meet-in-the-middle by value: each wanted value minus each tail sum
@@ -287,29 +304,30 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     """Int64 fixed-point meet-in-the-middle with an exact shortlist re-check.
 
     Sorted-halves sweep (Horowitz and Sahni, 1974) over half sums that are
-    symmetric about 0: flipping every sign negates a sum, so _positive_half
-    keeps and sorts only each half's positive sums, with a count of its zero
-    sums. A query tau - L lies as far from the right half as |tau - L| does,
-    and over the left sums -p, 0 and p that distance is swept along three
-    ascending runs of the left positive sums, a + p, a - p and p - a with
-    a = |tau|, and the one query a. Each run goes in blocks of MITM_BLOCK: a
-    block is searched in its own slice of the right positive sums, between
-    the cuts of its first query and of the next block's, and keeps only its
-    minimum distance; a right sum on the far side of 0 is never nearer.
-    Rounding costs at most half an ulp per reciprocal, so any pair whose true
-    distance beats the fixed-point winner sits within 2*(m+2) ulps of it; the
-    blocks that hold such a query are swept again to collect them, and each
-    collected query's window of the right half, its positive sums, their
-    mirrors and its zeros, is shortlisted. A query's distance depends only on
-    its value and a window is a range of values, so the shortlist is closed
-    under equal values: it pairs every index of each collected left value with
-    every index of each right value in that value's window, and _value_indices
-    looks those indices up by value; a pair count that differs from the
-    window count raises RuntimeError. Each shortlisted pair's distance to tau
-    is re-checked exactly, from rational_sum over each distinct half index's
-    signs, and the lexicographic minimum of (exact distance, left index, right
-    index) wins. Returns the +-1 signs aligned with free_ns, and the search
-    info.
+    symmetric about 0: flipping every sign negates a sum, so _half_chunks
+    lists only each half's positive sums, in ascending chunks, with a count
+    of its zero sums. Only the right half is held, as one sorted array; the
+    left half is never stored. A query tau - L lies as far from the right
+    half as |tau - L| does, and over the left sums -p, 0 and p that distance
+    is a + p, |a - p| and a, a = |tau|: the one query a goes first, then
+    each chunk of the left positive sums as three ascending runs, a + p,
+    a - p and p - a. Each run is searched in its own slice of the right
+    positive sums, between the cuts of its first and last query; a right sum
+    on the far side of 0 is never nearer. Rounding costs at most half an ulp
+    per reciprocal, so any pair whose true distance beats the fixed-point
+    winner sits within 2*(m+2) ulps of it: the queries within that margin of
+    the least distance so far are kept as the chunks pass, and pruned each
+    time it falls. Each kept query's window of the right half, its positive
+    sums, their mirrors and its zeros, is shortlisted. A query's distance
+    depends only on its value and a window is a range of values, so the
+    shortlist is closed under equal values: it pairs every index of each
+    kept left value with every index of each right value in that value's
+    window, and _value_indices looks those indices up by value; a pair count
+    that differs from the window count raises RuntimeError. Each shortlisted
+    pair's distance to tau is re-checked exactly, from rational_sum over each
+    distinct half index's signs, and the lexicographic minimum of (exact
+    distance, left index, right index) wins. Returns the +-1 signs aligned
+    with free_ns, and the search info.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -344,48 +362,51 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
                 "fp_best_ulps": abs(tau_fp - total),
             }
             return [s] * len(free_ns), info
-    pos_l, zeros_l, *parts_l = _positive_half(units[0::2])
-    pos_r, zeros_r, *parts_r = _positive_half(units[1::2])
-    # The left sums are -p, 0 (zeros_l times) and p over p in pos_l, so the
-    # queries' |tau - L| are a + p, a and |a - p|, a = |tau_fp|: three runs
-    # x = sx*p + off ascending in x, cut from pos_l at p = a, and one zero
-    # block of weight zeros_l. A block is (p, sx, off, sign of p in L, its cut
-    # and the next block's cut in pos_r, weight).
+    zeros_l, *parts_l, chunks_l = _half_chunks(units[0::2])
+    zeros_r, *parts_r, chunks_r = _half_chunks(units[1::2])
+    pos_r = np.empty((len(parts_r[0]) * len(parts_r[1]) - zeros_r) // 2, dtype=np.int64)
+    n = 0
+    for chunk in chunks_r:
+        pos_r[n : n + len(chunk)] = chunk
+        n += len(chunk)
+    # The left sums are -p, 0 (zeros_l times) and p over its positive sums p,
+    # so the queries' |tau - L| are a + p, a and |a - p|, a = |tau_fp|. A
+    # block is (p, sign of p in L, x ascending, weight): the zero block, then
+    # the runs a + p, a - p and p - a of each chunk of the left half.
     a, sign = abs(tau_fp), 1 if tau_fp >= 0 else -1
-    split = int(np.searchsorted(pos_l, a))
-    blocks = []
-    for run, sx, off, sl in (
-        (pos_l, 1, a, -sign),
-        (pos_l[:split][::-1], -1, a, sign),
-        (pos_l[split:], 1, -a, sign),
-    ):
-        cuts = np.searchsorted(pos_r, sx * run[::MITM_BLOCK] + off).tolist() + [len(pos_r)]
-        blocks += [
-            (run[i : i + MITM_BLOCK], sx, off, sl, cuts[k], cuts[k + 1], 1)
-            for k, i in enumerate(range(0, len(run), MITM_BLOCK))
-        ]
-    if zeros_l:
-        cut = int(np.searchsorted(pos_r, a))
-        blocks.append((np.zeros(1, dtype=np.int64), 1, a, 1, cut, cut, zeros_l))
 
-    def sweep(block: tuple) -> tuple[np.ndarray, np.ndarray]:
-        # The slice keeps pos_r[cut - 1], the pos - 1 neighbour of the
-        # block's first x, and pos_r[next cut], the pos neighbour of its last.
-        p, sx, off, _, cut, next_cut, _ = block
-        x = sx * p + off
-        return x, _distance_to_half(x, pos_r[max(cut - 1, 0) : next_cut + 1], zeros_r)
+    def blocks():
+        if zeros_l:
+            yield np.zeros(1, dtype=np.int64), 1, np.array([a], dtype=np.int64), zeros_l
+        for p in chunks_l:
+            split = int(np.searchsorted(p, a))
+            below, above = p[:split][::-1], p[split:]
+            yield p, -sign, p + a, 1
+            yield below, sign, a - below, 1
+            yield above, sign, above - a, 1
 
-    block_min = [int(sweep(b)[1].min()) for b in blocks]
-    fp_best = min(block_min)
-    thr = fp_best + 2 * (len(free_ns) + 2)
-    kept = []
-    for block, least in zip(blocks, block_min):
-        if least <= thr:
-            p, _, _, sl, _, _, weight = block
-            x, dist = sweep(block)
-            near = dist <= thr
-            kept.append((x[near], sl * p[near], np.full(np.count_nonzero(near), weight)))
-    x, left, weight = (np.concatenate(parts) for parts in zip(*kept))
+    # Each block keeps the queries within the margin of the least distance
+    # so far, and the kept ones are pruned whenever it falls, so at the end
+    # they are exactly the queries within the margin of the least of all.
+    margin = 2 * (len(free_ns) + 2)
+    fp_best, kept = math.inf, []
+    for p, sl, x, weight in blocks():
+        if not len(x):
+            continue
+        # The slice keeps pos_r[cut - 1], the pos - 1 neighbour of x[0], and
+        # pos_r[next cut], the pos neighbour of x[-1].
+        cut, next_cut = np.searchsorted(pos_r, (x[0], x[-1])).tolist()
+        dist = _distance_to_half(x, pos_r[max(cut - 1, 0) : next_cut + 1], zeros_r)
+        least = int(dist.min())
+        if least > fp_best + margin:
+            continue
+        if least < fp_best:
+            fp_best = least
+            kept = [tuple(v[d <= fp_best + margin] for v in (d, *rest)) for d, *rest in kept]
+        near = dist <= fp_best + margin
+        kept.append((dist[near], x[near], sl * p[near], np.full(np.count_nonzero(near), weight)))
+    thr = fp_best + margin
+    _, x, left, weight = (np.concatenate(parts) for parts in zip(*kept))
     # The right sums in the window of the query q = tau - L, g = sign(q), are
     # g*p for p in pos_r within thr of x = |q|, their mirrors -g*p for
     # p <= thr - x, and the zeros when x <= thr.

@@ -159,13 +159,21 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
         (["sieve", "--psi", "10"], None, 2, "--psi: expected x:y, got '10'"),
         (["pipeline", "--scales", ","], None, 2,
          "--scales: expected a comma list of integers, got ','"),
+        (["sieve", "--psi", "a:b"], None, 2, "--psi: expected x:y with integers, got 'a:b'"),
+        (["pipeline", "--override", "3:x"], None, 2,
+         "--override: expected p:+1 or p:-1 with integers, got '3:x'"),
+        (["pipeline", "--scales", "abc"], None, 2,
+         "--scales: expected a comma list of integers, got 'abc'"),
+        (["sieve", "--rho", "x"], None, 2,
+         "--rho: expected u_max[:coarse_step] with numbers, got 'x'"),
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
          "range-past-int64", "no-target", "null-target", "target-not-rational", "x0-list", "pipeline-infeasible",
          "density-empty-a", "pipeline-empty-set", "pipeline-empty-set-with-n",
          "pipeline-scale-ratio", "sieve-nothing-to-do", "override-not-a-pair", "psi-not-a-pair",
-         "scales-empty"],
+         "scales-empty", "psi-not-integers", "override-not-integers", "scales-not-integers",
+         "rho-not-a-number"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
     path = tmp_path / "input.json"

@@ -1,9 +1,9 @@
 """Property tests: the int64 sorted-halves MITM kernel against brute force,
-at its own block and tail sizes and at tiny ones, on halves with exact zero
+at its own chunk and tail sizes and at tiny ones, on halves with exact zero
 sums, windows across 0 and an empty right half, its forced-sign exit, the
-half sums it builds (only the positive ones, sorted, and a count of zeros),
-the sign indices it looks up by value and the check that they close the
-shortlist, its memory, and the signs of an all-free mitm_optimize."""
+half sums it lists (only the positive ones, in ascending chunks, and a count
+of zeros), the sign indices it looks up by value and the check that they
+close the shortlist, its memory, and the signs of an all-free mitm_optimize."""
 
 import math
 import random
@@ -23,10 +23,11 @@ from harmsum.support import SupportSet
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
-# (queries per sweep block, tail units of the index recovery): the kernel's
-# own sizes, then tiny ones, with which the <= 14-element sets below cross
-# many block boundaries and split every half for the index lookup.
-KERNEL_SIZES = [(ctor.MITM_BLOCK, ctor.MITM_TAIL_UNITS), (2, 1), (3, 0)]
+# (half sums per chunk, which is also the queries per sweep block, tail units
+# of the chunks and of the index recovery): the kernel's own sizes, with which
+# the <= 14-element sets below fit each half in one chunk, then tiny ones, with
+# which they cross many chunk edges and split every half into low and tail.
+KERNEL_SIZES = [(ctor.MITM_BLOCK, ctor.MITM_TAIL_UNITS), (1, 2), (2, 1), (3, 0)]
 
 
 def _half_signs(ns: list[int], index: int) -> dict[int, int]:
@@ -71,17 +72,26 @@ def _fixed_point_pair_distances(free_ns: list[int], tau: Fraction, p_bits: int) 
 
 def _assert_kernel_matches(free_ns: list[int], tau: Fraction) -> int:
     """At every KERNEL_SIZES, the kernel's signs are the exact brute-force
-    optimum, its fp_best_ulps is the least fixed-point pair distance, and its
-    shortlist holds every pair within the 2*(m+2)-ulp margin of it."""
+    optimum, its fp_best_ulps is the least fixed-point pair distance, its
+    shortlist holds every pair within the 2*(m+2)-ulp margin of it, and a
+    sweep looks up exactly the left sums of those pairs."""
     dist, expected = _brute_force(free_ns, tau)
     for block, tail in KERNEL_SIZES:
-        with mock.patch.multiple(ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail):
+        lookup = mock.Mock(wraps=ctor._value_indices)
+        with mock.patch.multiple(
+            ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail, _value_indices=lookup
+        ):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
         assert dict(zip(free_ns, signs)) == expected
         fp = _fixed_point_pair_distances(free_ns, tau, info["scale_bits"])
         assert info["fp_best_ulps"] == fp.min()
-        margin = 2 * (len(free_ns) + 2)
-        assert info["shortlist_pairs"] == np.count_nonzero(fp <= fp.min() + margin)
+        near = fp <= fp.min() + 2 * (len(free_ns) + 2)
+        assert info["shortlist_pairs"] == np.count_nonzero(near)
+        if lookup.called:  # the sweep ran; its first lookup is the left half's
+            units = rounded_units(free_ns, info["scale_bits"])[0].tolist()
+            left = np.asarray(_signed_sums(units[0::2]))
+            asked = lookup.call_args_list[0].args[2]
+            assert set(asked.tolist()) == set(left[near.any(axis=1)].tolist())
     return dist
 
 
@@ -233,7 +243,7 @@ def test_forced_target_builds_no_half():
     free_ns = list(range(2, 45))
     reach = sum(Fraction(1, n) for n in free_ns)
     boom = mock.Mock(side_effect=AssertionError("the sweep ran"))
-    with mock.patch.object(ctor, "_positive_half", boom):
+    with mock.patch.object(ctor, "_half_chunks", boom):
         for tau in (reach, -reach - Fraction(1, 3), Fraction(2**30)):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
             assert signs == [1 if tau > 0 else -1] * len(free_ns)
@@ -318,7 +328,8 @@ def test_value_indices_return_every_index_of_each_value(units, tail, data):
     units = np.asarray(units, dtype=np.int64)
     unsorted = numerics._half_sums(units)
     with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
-        pos, zeros, low, tail_sums = ctor._positive_half(units)
+        zeros, low, tail_sums, chunks = ctor._half_chunks(units)
+        pos = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
     mirrored = np.concatenate((-pos[::-1], np.zeros(zeros, dtype=np.int64), pos))
     assert mirrored.tolist() == np.sort(unsorted).tolist()
     asked = unsorted[
@@ -330,6 +341,38 @@ def test_value_indices_return_every_index_of_each_value(units, tail, data):
     for v in set(asked.tolist()):
         got = np.sort(indices[values == v])
         assert got.tolist() == np.flatnonzero(unsorted == v).tolist()
+
+
+# The chunk generator against a plain sort of the half's sums, at chunk
+# sizes of 1-3 entries, where most halves cross many chunk edges, and at
+# the kernel's own, where these halves fit in one chunk. Units drawn from a
+# few small values give duplicate units and sums that are exactly 0.
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=10),
+        st.lists(st.integers(1, 1 << 40), max_size=10),
+    ),
+    st.sampled_from([1, 2, 3, ctor.MITM_BLOCK]),
+    st.integers(0, 4),
+)
+@example([], 1, 0)
+@example([], ctor.MITM_BLOCK, 0)
+@example([5], 1, 0)
+@example([0], 1, 1)
+@example([3, 3, 2, 1, 7, 7, 5], 2, 2)
+def test_half_chunks_list_the_positive_sums_in_order(units, block, tail):
+    units = np.asarray(units, dtype=np.int64)
+    sums = numerics._half_sums(units)
+    with mock.patch.multiple(ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail):
+        zeros, low, tail_sums, chunks = ctor._half_chunks(units)
+        chunks = list(chunks)
+    assert zeros == np.count_nonzero(sums == 0)
+    assert (tail_sums[:, None] + low[None, :]).ravel().tolist() == sums.tolist()
+    pos = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+    assert pos.tolist() == np.sort(sums[sums > 0]).tolist()
+    if len(np.unique(pos)) == len(pos):  # then no chunk outgrows its size
+        assert all(len(chunk) <= block for chunk in chunks)
 
 
 def test_a_lookup_that_drops_an_index_raises():
@@ -393,9 +436,10 @@ def test_shortlist_recheck_on_a_large_tied_shortlist():
 
 def test_kernel_memory_stays_near_two_halves():
     """36 free elements give halves of 2^18 int64 sums (2 MiB each). The
-    kernel holds both halves and block-sized scratch, about 2.3 halves at
-    its peak; a kernel that carries sign-index arrays through the sort and
-    builds whole-half query, position and distance arrays peaks near 7.
+    kernel holds one half's positive sums and chunk-sized scratch, about 1.1
+    halves at its peak; a kernel that carries sign-index arrays through the
+    sort and builds whole-half query, position and distance arrays peaks
+    near 7.
     The target lies inside [-H, H], so the kernel sweeps."""
     rng = random.Random(5)
     free_ns = sorted(rng.sample(range(100, 3000), 36))
@@ -413,8 +457,10 @@ def test_kernel_memory_stays_near_two_halves():
 
 def test_kernel_memory_stays_near_one_half():
     """40 free elements give halves of 2^20 int64 sums (8 MiB each). The
-    kernel keeps only each half's positive sums, half a half apiece, and
-    peaks near 1.1 halves; one that holds both whole halves peaks near 2.1."""
+    kernel keeps only the right half's positive sums, half a half, and lists
+    the left half's in chunks of about MITM_BLOCK that it drops as it goes:
+    it peaks near 0.7 halves. One that keeps both halves' positive sums
+    peaks near 1.1, and one that holds both whole halves near 2.1."""
     rng = random.Random(5)
     free_ns = sorted(rng.sample(range(100, 3000), 40))
     tau = Fraction(1, 70)
@@ -426,4 +472,4 @@ def test_kernel_memory_stays_near_one_half():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * half_bytes
+    assert peak < 0.75 * half_bytes
