@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -241,6 +242,10 @@ def _cmd_sieve(args, started: float) -> int:
             raise ValueError(
                 f"--rho: expected u_max[:coarse_step] with numbers, got {args.rho!r}"
             ) from None
+        if not (0 <= u_max < math.inf and 0 < coarse < math.inf):  # false for nan too
+            raise ValueError(
+                f"--rho: expected finite u_max >= 0 and coarse_step > 0, got {args.rho!r}"
+            )
         writer.writerow(["u", "rho_u"])
         for u, r in dickman_rho_grid(u_max, coarse):
             writer.writerow([f"{u:.6g}", f"{r:.12e}"])

@@ -30,7 +30,7 @@ from .support import SignSequence, SupportSet
 MAX_FREE_LIMIT = 52
 SHORTLIST_CAP = 65536
 MITM_BLOCK = 1 << 14  # half sums per chunk of _half_chunks: queries per block of the MITM sweep
-MITM_TAIL_UNITS = 6  # units per half looked up by value in _value_indices
+MITM_TAIL_UNITS = 6  # units per half in the tail sums of _half_chunks
 GREEDY_SCALE_BITS = 128  # starting fixed-point precision of the certified greedy
 DENSE_N_MIN = 256  # least scale of dense_set_signs and upper_density_scales
 EPS1_FLOOR = 1.0 / 64  # least rough-part exponent rough_basis_subset tries
@@ -214,7 +214,7 @@ def _half_chunks(units: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, Iterat
     2^(m-1) entries at most. Every half index is a low index over all but the
     last MITM_TAIL_UNITS units plus a tail index over those, so
     (tail[:, None] + low[None, :]).ravel() is _half_sums(units) entry for
-    entry, and _value_indices looks sign indices up in the same parts. The
+    entry, and _windows finds sign indices by value in the same parts. The
     sums in [v, w) are, for each tail sum t, the slice of the sorted low sums
     in [v - t, w - t) plus t: gathered and sorted, they make one chunk, so
     the half is listed in value order without being stored (Schroeppel and
@@ -247,27 +247,29 @@ def _half_chunks(units: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, Iterat
     return zeros, low, tail, chunks()
 
 
-def _value_indices(
-    low: np.ndarray, tail: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, sums): every sign index whose sum is among `values`, with its
-    sum, in the half with these low and tail sums from _half_chunks. The
-    sums come out ascending.
+def _windows(
+    low: np.ndarray, tail: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, counts) of the windows [lo[k], hi[k]] over the half
+    with these low and tail sums from _half_chunks. Its sign indices whose
+    sums lie in window k are, for each tail index t, order[starts[k, t] + c]
+    + t * len(low) for c < counts[k, t]; counts.sum(axis=1) counts them.
 
-    A small meet-in-the-middle by value: each wanted value minus each tail sum
-    is looked up among the sorted low sums.
+    A sum tail[t] + low[i] lies in [lo, hi] just when low[i] lies in
+    [lo - tail[t], hi - tail[t]], one range of the sorted low sums.
     """
-    low_order = np.argsort(low)
-    low = low[low_order]
-    wanted = np.sort(values)  # deduplicated by hand: np.unique's first call takes ~20 ms
-    wanted = wanted[np.concatenate(([True], wanted[1:] != wanted[:-1]))]
-    need = (wanted[:, None] - tail[None, :]).ravel()
-    lo = np.searchsorted(low, need, side="left")
-    counts = np.searchsorted(low, need, side="right") - lo
-    indices = low_order[_range_positions(lo, counts)] + np.repeat(
-        np.tile(np.arange(len(tail)) * len(low), len(wanted)), counts
-    )
-    return indices, np.repeat(np.repeat(wanted, len(tail)), counts)
+    order = np.argsort(low)
+    ordered = low[order]
+    starts = np.searchsorted(ordered, lo[:, None] - tail, side="left")
+    counts = np.searchsorted(ordered, hi[:, None] - tail, side="right") - starts
+    return order, starts, counts
+
+
+def _window_indices(order: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sign indices of _windows' windows, window by window, concatenated."""
+    tails = np.broadcast_to(np.arange(starts.shape[1]) * len(order), starts.shape)
+    counts = counts.ravel()
+    return order[_range_positions(starts.ravel(), counts)] + np.repeat(tails.ravel(), counts)
 
 
 def _distance_to_half(x: np.ndarray, near: np.ndarray, zeros: int) -> np.ndarray:
@@ -317,17 +319,17 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
     per reciprocal, so any pair whose true distance beats the fixed-point
     winner sits within 2*(m+2) ulps of it: the queries within that margin of
     the least distance so far are kept as the chunks pass, and pruned each
-    time it falls. Each kept query's window of the right half, its positive
-    sums, their mirrors and its zeros, is shortlisted. A query's distance
-    depends only on its value and a window is a range of values, so the
-    shortlist is closed under equal values: it pairs every index of each
-    kept left value with every index of each right value in that value's
-    window, and _value_indices looks those indices up by value; a pair count
-    that differs from the window count raises RuntimeError. Each shortlisted
-    pair's distance to tau is re-checked exactly, from rational_sum over each
-    distinct half index's signs, and the lexicographic minimum of (exact
-    distance, left index, right index) wins. Returns the +-1 signs aligned
-    with free_ns, and the search info.
+    time it falls. A query's distance depends only on its value, so the
+    kept left values are distinct windows [L, L] of the left half, and each
+    gets the window [tau - L - thr, tau - L + thr] of the right half, thr
+    the margin past the least distance. _windows finds every sign index in
+    each window by one range of the sorted low sums per tail sum, and the
+    shortlist pairs the left indices of each window with its right indices;
+    SHORTLIST_CAP bounds its size before any index is gathered. Each
+    shortlisted pair's distance to tau is re-checked exactly, from
+    rational_sum over each distinct half index's signs, and the
+    lexicographic minimum of (exact distance, left index, right index) wins.
+    Returns the +-1 signs aligned with free_ns, and the search info.
 
     A target on or past +-heavy, heavy = sum of 1/n over free_ns, forces every
     sign to sign(tau). Such a call returns the sweep's result without building
@@ -371,26 +373,27 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
         n += len(chunk)
     # The left sums are -p, 0 (zeros_l times) and p over its positive sums p,
     # so the queries' |tau - L| are a + p, a and |a - p|, a = |tau_fp|. A
-    # block is (p, sign of p in L, x ascending, weight): the zero block, then
-    # the runs a + p, a - p and p - a of each chunk of the left half.
+    # block is (p, sign of p in L, x ascending): the zero block, one query
+    # for every zero sum, then the runs a + p, a - p and p - a of each chunk
+    # of the left half.
     a, sign = abs(tau_fp), 1 if tau_fp >= 0 else -1
 
     def blocks():
         if zeros_l:
-            yield np.zeros(1, dtype=np.int64), 1, np.array([a], dtype=np.int64), zeros_l
+            yield np.zeros(1, dtype=np.int64), 1, np.array([a], dtype=np.int64)
         for p in chunks_l:
             split = int(np.searchsorted(p, a))
             below, above = p[:split][::-1], p[split:]
-            yield p, -sign, p + a, 1
-            yield below, sign, a - below, 1
-            yield above, sign, above - a, 1
+            yield p, -sign, p + a
+            yield below, sign, a - below
+            yield above, sign, above - a
 
     # Each block keeps the queries within the margin of the least distance
     # so far, and the kept ones are pruned whenever it falls, so at the end
     # they are exactly the queries within the margin of the least of all.
     margin = 2 * (len(free_ns) + 2)
     fp_best, kept = math.inf, []
-    for p, sl, x, weight in blocks():
+    for p, sl, x in blocks():
         if not len(x):
             continue
         # The slice keeps pos_r[cut - 1], the pos - 1 neighbour of x[0], and
@@ -402,45 +405,35 @@ def _mitm_fixed_point(free_ns: list[int], tau: Fraction):
             continue
         if least < fp_best:
             fp_best = least
-            kept = [tuple(v[d <= fp_best + margin] for v in (d, *rest)) for d, *rest in kept]
+            kept = [(d[d <= fp_best + margin], v[d <= fp_best + margin]) for d, v in kept]
         near = dist <= fp_best + margin
-        kept.append((dist[near], x[near], sl * p[near], np.full(np.count_nonzero(near), weight)))
+        kept.append((dist[near], sl * p[near]))
     thr = fp_best + margin
-    _, x, left, weight = (np.concatenate(parts) for parts in zip(*kept))
-    # The right sums in the window of the query q = tau - L, g = sign(q), are
-    # g*p for p in pos_r within thr of x = |q|, their mirrors -g*p for
-    # p <= thr - x, and the zeros when x <= thr.
-    over_lo = np.searchsorted(pos_r, x - thr, side="left")
-    over = np.searchsorted(pos_r, x + thr, side="right") - over_lo
-    under = np.searchsorted(pos_r, thr - x, side="right")
-    at_zero = zeros_r * (x <= thr)
-    n_pairs = int((weight * (over + under + at_zero)).sum())
+    del pos_r  # only the sweep reads it; the lookups' scratch would stack on it
+    left = np.sort(np.concatenate([v for _, v in kept]))
+    left = left[np.concatenate(([True], left[1:] != left[:-1]))]
+    # Window k pairs the left indices of value left[k] with the right
+    # indices whose sums lie within thr of tau_fp - left[k]. Each left index
+    # has one value, so no pair is listed twice.
+    wins_l = _windows(*parts_l, left, left)
+    wins_r = _windows(*parts_r, tau_fp - left - thr, tau_fp - left + thr)
+    n_l, n_r = wins_l[2].sum(axis=1), wins_r[2].sum(axis=1)
+    n_pairs = int((n_l * n_r).sum())
     if n_pairs > SHORTLIST_CAP:
         raise ResourceBudgetError("meet-in-the-middle shortlist exploded")
-    g = np.where(left <= tau_fp, 1, -1)
-    right_values = np.concatenate((
-        np.repeat(g, over) * pos_r[_range_positions(over_lo, over)],
-        np.repeat(-g, under) * pos_r[_range_positions(np.zeros_like(under), under)],
-        np.zeros(int(at_zero.any()), dtype=np.int64),
-    ))
-    # Pair every index of a collected left value with every index in its window.
-    idx_l, val_l = _value_indices(*parts_l, left)
-    idx_r, val_r = _value_indices(*parts_r, right_values)
-    lo_r = np.searchsorted(val_r, tau_fp - val_l - thr, side="left")
-    hi_r = np.searchsorted(val_r, tau_fp - val_l + thr, side="right")
-    if int((hi_r - lo_r).sum()) != n_pairs:
-        raise RuntimeError("meet-in-the-middle shortlist not closed under equal values")
-    idx_l, idx_r = idx_l.tolist(), idx_r.tolist()
+    idx_l, idx_r = _window_indices(*wins_l).tolist(), _window_indices(*wins_r).tolist()
 
     # Each distinct half index is summed once; a pair's distance is then
     # |L + (R - tau)|.
     ns_l, ns_r = free_ns[0::2], free_ns[1::2]
     exact_l = {i: rational_sum(ns_l, _index_signs(len(ns_l), i)) for i in idx_l}
     gap_r = {j: rational_sum(ns_r, _index_signs(len(ns_r), j)) - tau for j in idx_r}
+    ends_l, ends_r = np.cumsum(n_l).tolist(), np.cumsum(n_r).tolist()
     _, li, ri = min(
         (abs(exact_l[i] + gap_r[j]), i, j)
-        for i, a, b in zip(idx_l, lo_r.tolist(), hi_r.tolist())
-        for j in idx_r[a:b]
+        for l0, l1, r0, r1 in zip([0, *ends_l], ends_l, [0, *ends_r], ends_r)
+        for i in idx_l[l0:l1]
+        for j in idx_r[r0:r1]
     )
     signs = [0] * len(free_ns)
     signs[0::2], signs[1::2] = _index_signs(len(ns_l), li), _index_signs(len(ns_r), ri)

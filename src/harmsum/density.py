@@ -77,7 +77,7 @@ class EtaBudget:
     (t0, t_upper].
     """
 
-    n_scale: int
+    n: int
     b_size: int
     k: int
     c_local: float
@@ -87,11 +87,6 @@ class EtaBudget:
     t_upper: float
     feasible: bool
     reasons: tuple[str, ...]
-
-    def to_obj(self) -> dict:
-        obj = dict(vars(self))
-        obj["n"] = obj.pop("n_scale")
-        return obj
 
 
 def eta_budget(
@@ -131,7 +126,7 @@ def eta_budget(
     if t_upper <= t0:
         reasons.append("decay cutoff T does not exceed T0 at this scale")
     return EtaBudget(
-        n_scale=n_scale,
+        n=n_scale,
         b_size=b_size,
         k=k,
         c_local=c_local,

@@ -153,7 +153,7 @@ def chi3_star_check(k_max: int, sieve: SieveTable) -> Chi3Report:
 class ScaleReport:
     """One inductive step of the pipeline at scale N."""
 
-    n_scale: int
+    n: int
     mid_interval: tuple[int, int]
     top_interval: tuple[int, int]
     mid_primes: int
@@ -171,11 +171,6 @@ class ScaleReport:
     c0_hat: float | None
     cube_root_bound_ok: bool
     notes: list[str] = field(default_factory=list)
-
-    def to_obj(self) -> dict:
-        obj = dict(vars(self))
-        obj["n"] = obj.pop("n_scale")
-        return obj
 
 
 @dataclass
@@ -357,7 +352,7 @@ def log_mean_pipeline(
         feasible_all = feasible_all and scale_feasible and met
         reports.append(
             ScaleReport(
-                n_scale=n,
+                n=n,
                 mid_interval=(mid_lo, mid_hi),
                 top_interval=(top_lo, top_hi),
                 mid_primes=len(mid_primes),

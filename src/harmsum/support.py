@@ -19,6 +19,18 @@ def _runs(values: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], breaks + 1)), np.concatenate((breaks, [len(values) - 1]))
 
 
+def _ints(tokens, context: str) -> list[int]:
+    """The tokens as ints; one that is not an int raises ValueError naming it
+    after context."""
+    ints = []
+    for tok in tokens:
+        try:
+            ints.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{context}, got {tok.strip()!r}") from None
+    return ints
+
+
 class SupportSet:
     """A finite, sorted set of positive integers.
 
@@ -65,18 +77,17 @@ class SupportSet:
         """
         spec = spec.strip()
         if spec.startswith("@"):
-            lines = Path(spec[1:]).read_text().split()
-            return cls([int(tok) for tok in lines])
+            tokens = Path(spec[1:]).read_text().split()
+            return cls(_ints(tokens, f"set file {spec[1:]}: expected one integer per line"))
+        where = f"set spec {spec!r}: expected an integer"
         if spec.startswith("mod"):
             head, _, tail = spec.partition(":")
-            m = int(head[3:].strip())
-            rs = [int(tok) for tok in tail.split(",") if tok.strip()]
+            m, *rs = _ints([head[3:], *(tok for tok in tail.split(",") if tok.strip())], where)
             if limit is None:
                 raise ValueError("residue-class sets need an upper limit")
             return cls.residues(m, rs, limit)
         if ".." in spec:
-            a, _, b = spec.partition("..")
-            return cls.interval(int(a), int(b))
+            return cls.interval(*_ints(spec.split("..", 1), where))
         raise ValueError(f"unrecognized set spec: {spec!r}")
 
     def restrict(self, lo: int, hi: int) -> "SupportSet":

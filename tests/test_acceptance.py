@@ -250,7 +250,7 @@ def test_criterion_09_multiplicative_pipeline(sieve16k):
     bounds_ok = all(r.met for r in state.scale_reports)
     mult_ok = mult.multiplicativity_check(fn, 100_000, seed=909)
     local_ok = mult.locality_check(fn, seed_fn, state.modified_intervals, 16_000)
-    achieved = {r.n_scale: float(r.achieved_exact) for r in state.scale_reports}
+    achieved = {r.n: float(r.achieved_exact) for r in state.scale_reports}
     elapsed = time.time() - t0
     _report(
         9,

@@ -166,6 +166,25 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
          "--scales: expected a comma list of integers, got 'abc'"),
         (["sieve", "--rho", "x"], None, 2,
          "--rho: expected u_max[:coarse_step] with numbers, got 'x'"),
+        (["sieve", "--rho", "3:0"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got '3:0'"),
+        (["sieve", "--rho", "3:-0.5"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got '3:-0.5'"),
+        (["sieve", "--rho", "-1"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got '-1'"),
+        (["sieve", "--rho", "inf"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got 'inf'"),
+        (["sieve", "--rho", "nan"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got 'nan'"),
+        (["sieve", "--rho", "3:inf"], None, 2,
+         "--rho: expected finite u_max >= 0 and coarse_step > 0, got '3:inf'"),
+        (["construct", "--set", "mod x: 1", "--n", "300"], None, 2,
+         "set spec 'mod x: 1': expected an integer, got 'x'"),
+        (["construct", "--set", "5..x"], None, 2, "set spec '5..x': expected an integer, got 'x'"),
+        (["construct", "--set", "mod 3: 1,y", "--n", "300"], None, 2,
+         "set spec 'mod 3: 1,y': expected an integer, got 'y'"),
+        (["construct", "--set", "@{path}"], "3\nfoo\n5\n", 2,
+         "set file {path}: expected one integer per line, got 'foo'"),
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
@@ -173,17 +192,20 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
          "density-empty-a", "pipeline-empty-set", "pipeline-empty-set-with-n",
          "pipeline-scale-ratio", "sieve-nothing-to-do", "override-not-a-pair", "psi-not-a-pair",
          "scales-empty", "psi-not-integers", "override-not-integers", "scales-not-integers",
-         "rho-not-a-number"],
+         "rho-not-a-number", "rho-zero-step", "rho-negative-step", "rho-negative-u",
+         "rho-inf", "rho-nan", "rho-inf-step", "set-mod-not-integer", "set-interval-not-integer",
+         "set-residue-not-integer", "set-file-not-integer"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
+    """payload is written to {path}: a str as it is, anything else as JSON."""
     path = tmp_path / "input.json"
     if payload is not None:
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     out = tmp_path / "out.json"
     assert cli.run([a.format(path=path) for a in argv] + ["--out", str(out)]) == code
     if code == cli.EXIT_USAGE:
         line = _one_line_error(capsys)
-        assert message is None or line == message
+        assert message is None or line == message.format(path=path)
         assert not out.exists()
     else:
         assert "Traceback" not in capsys.readouterr().err
@@ -559,17 +581,26 @@ def test_out_of_memory_exits_usage_without_record(tmp_path, capsys, monkeypatch,
 
 
 def test_internal_check_exits_usage_without_traceback(tmp_path, capsys, monkeypatch):
-    def unclosed(free_ns, tau):
-        raise RuntimeError("meet-in-the-middle shortlist not closed under equal values")
+    def broken(free_ns, tau):
+        raise RuntimeError("meet-in-the-middle kernel check failed")
 
-    monkeypatch.setattr(cli.ctor, "_mitm_fixed_point", unclosed)
+    monkeypatch.setattr(cli.ctor, "_mitm_fixed_point", broken)
     out = tmp_path / "m.json"
     argv = ["construct", "--interval", "1..40", "--method", "mitm", "--out", str(out)]
     assert cli.run(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.strip().splitlines() == [
-        "internal error: meet-in-the-middle shortlist not closed under equal values"
-    ]
+    assert err.strip().splitlines() == ["internal error: meet-in-the-middle kernel check failed"]
+    assert not out.exists()
+
+
+def test_shortlist_over_the_cap_exits_usage_without_record(tmp_path, capsys, monkeypatch):
+    # [1, 40] toward 0 shortlists 3 328 pairs, one over this cap
+    monkeypatch.setattr(cli.ctor, "SHORTLIST_CAP", 3327)
+    out = tmp_path / "m.json"
+    argv = ["construct", "--interval", "1..40", "--method", "mitm", "--max-free", "40",
+            "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_USAGE
+    assert _one_line_error(capsys) == "meet-in-the-middle shortlist exploded"
     assert not out.exists()
 
 

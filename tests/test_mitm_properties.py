@@ -2,8 +2,8 @@
 at its own chunk and tail sizes and at tiny ones, on halves with exact zero
 sums, windows across 0 and an empty right half, its forced-sign exit, the
 half sums it lists (only the positive ones, in ascending chunks, and a count
-of zeros), the sign indices it looks up by value and the check that they
-close the shortlist, its memory, and the signs of an all-free mitm_optimize."""
+of zeros), the sign indices it finds by range of values, its shortlist cap,
+its memory, and the signs of an all-free mitm_optimize."""
 
 import math
 import random
@@ -74,13 +74,11 @@ def _assert_kernel_matches(free_ns: list[int], tau: Fraction) -> int:
     """At every KERNEL_SIZES, the kernel's signs are the exact brute-force
     optimum, its fp_best_ulps is the least fixed-point pair distance, its
     shortlist holds every pair within the 2*(m+2)-ulp margin of it, and a
-    sweep looks up exactly the left sums of those pairs."""
+    sweep's left windows are exactly the left sums of those pairs."""
     dist, expected = _brute_force(free_ns, tau)
     for block, tail in KERNEL_SIZES:
-        lookup = mock.Mock(wraps=ctor._value_indices)
-        with mock.patch.multiple(
-            ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail, _value_indices=lookup
-        ):
+        lookup = mock.Mock(wraps=ctor._windows)
+        with mock.patch.multiple(ctor, MITM_BLOCK=block, MITM_TAIL_UNITS=tail, _windows=lookup):
             signs, info = ctor._mitm_fixed_point(free_ns, tau)
         assert dict(zip(free_ns, signs)) == expected
         fp = _fixed_point_pair_distances(free_ns, tau, info["scale_bits"])
@@ -90,8 +88,9 @@ def _assert_kernel_matches(free_ns: list[int], tau: Fraction) -> int:
         if lookup.called:  # the sweep ran; its first lookup is the left half's
             units = rounded_units(free_ns, info["scale_bits"])[0].tolist()
             left = np.asarray(_signed_sums(units[0::2]))
-            asked = lookup.call_args_list[0].args[2]
-            assert set(asked.tolist()) == set(left[near.any(axis=1)].tolist())
+            lo, hi = lookup.call_args_list[0].args[2:]
+            assert lo.tolist() == hi.tolist()
+            assert set(lo.tolist()) == set(left[near.any(axis=1)].tolist())
     return dist
 
 
@@ -313,8 +312,10 @@ def test_half_sums_match_signed_subset_sums(units):
 
 
 # Units drawn from a few small values (zeros and repeats included) make most
-# half sums tied, so one value can stand for many sign indices, and the lookup
-# must return all of them, for values asked for in any order and repeated.
+# half sums tied, so one window can hold many sign indices of one value, and
+# the lookup must return each of them once. A window is a half sum shifted
+# by -2..2 with a width of -1 (empty), 0 (lo = hi), 1-3 or the whole range;
+# several windows of one call may overlap.
 @PROPERTY_SETTINGS
 @given(
     st.one_of(
@@ -322,9 +323,17 @@ def test_half_sums_match_signed_subset_sums(units):
         st.lists(st.integers(1, 1 << 40), max_size=10),
     ),
     st.integers(0, 4),
-    st.data(),
+    st.lists(
+        st.tuples(st.integers(0, 1 << 10), st.integers(-2, 2),
+                  st.sampled_from([-1, 0, 1, 2, 3, 1 << 45])),
+        min_size=1, max_size=12,
+    ),
 )
-def test_value_indices_return_every_index_of_each_value(units, tail, data):
+@example([], 0, [(0, 0, 0), (0, 1, 0), (0, -1, -1)])
+@example([5], 0, [(0, 0, 0), (1, 0, 0), (0, -10, 20)])
+@example([0], 1, [(0, 0, 0), (1, 0, 0)])
+@example([3, 3, 2, 1, 7, 7, 5], 2, [(5, 0, 0), (5, -1, 2), (6, 0, 3), (9, 0, -1)])
+def test_windows_return_every_index_in_each_range(units, tail, windows):
     units = np.asarray(units, dtype=np.int64)
     unsorted = numerics._half_sums(units)
     with mock.patch.object(ctor, "MITM_TAIL_UNITS", tail):
@@ -332,15 +341,15 @@ def test_value_indices_return_every_index_of_each_value(units, tail, data):
         pos = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
     mirrored = np.concatenate((-pos[::-1], np.zeros(zeros, dtype=np.int64), pos))
     assert mirrored.tolist() == np.sort(unsorted).tolist()
-    asked = unsorted[
-        data.draw(st.lists(st.integers(0, len(unsorted) - 1), min_size=1, max_size=40))
-    ]
-    indices, values = ctor._value_indices(low, tail_sums, asked)
-    assert values.tolist() == sorted(values.tolist())
-    assert set(values.tolist()) == set(asked.tolist())
-    for v in set(asked.tolist()):
-        got = np.sort(indices[values == v])
-        assert got.tolist() == np.flatnonzero(unsorted == v).tolist()
+    lo = np.array([unsorted[i % len(unsorted)] + shift for i, shift, _ in windows])
+    hi = lo + np.array([width for *_, width in windows])
+    order, starts, counts = ctor._windows(low, tail_sums, lo, hi)
+    indices = ctor._window_indices(order, starts, counts)
+    ends = np.cumsum(counts.sum(axis=1))
+    assert ends[-1] == len(indices)
+    for k, got in enumerate(np.split(indices, ends[:-1])):
+        expected = np.flatnonzero((unsorted >= lo[k]) & (unsorted <= hi[k]))
+        assert np.sort(got).tolist() == expected.tolist()
 
 
 # The chunk generator against a plain sort of the half's sums, at chunk
@@ -373,22 +382,6 @@ def test_half_chunks_list_the_positive_sums_in_order(units, block, tail):
     assert pos.tolist() == np.sort(sums[sums > 0]).tolist()
     if len(np.unique(pos)) == len(pos):  # then no chunk outgrows its size
         assert all(len(chunk) <= block for chunk in chunks)
-
-
-def test_a_lookup_that_drops_an_index_raises():
-    """The pair count by value must equal the shortlist's window count; a
-    lookup that loses one sign index breaks it on either half, and the kernel
-    raises rather than pick from an incomplete shortlist (even under -O)."""
-    lookup = ctor._value_indices
-
-    def drop_last(low, tail, values):
-        indices, sums = lookup(low, tail, values)
-        return indices[:-1], sums[:-1]
-
-    for free_ns, tau in ((STRADDLE, Fraction(0)), (list(range(2, 22)), Fraction(1, 9))):
-        with mock.patch.object(ctor, "_value_indices", drop_last):
-            with pytest.raises(RuntimeError, match="not closed under equal values"):
-                ctor._mitm_fixed_point(free_ns, tau)
 
 
 def test_shortlist_recheck_on_a_large_tied_shortlist():
@@ -432,6 +425,28 @@ def test_shortlist_recheck_on_a_large_tied_shortlist():
     expected = {**_half_signs(halves[0], li), **_half_signs(halves[1], ri)}
     assert dict(zip(free_ns, signs)) == expected
     assert len(pairs) == 3328 and len({i for i, _ in pairs}) < len(pairs) // 4
+
+
+@pytest.mark.parametrize("cap", [3327, 3328])
+def test_shortlist_cap_is_checked_before_the_gather(cap):
+    """[1, 40] toward 0 shortlists 3 328 pairs: one pair over the cap raises
+    before any sign index is gathered, and a cap it meets returns the pinned
+    info."""
+    gather = mock.Mock(wraps=ctor._window_indices)
+    with mock.patch.multiple(ctor, SHORTLIST_CAP=cap, _window_indices=gather):
+        if cap < 3328:
+            with pytest.raises(numerics.ResourceBudgetError, match="shortlist exploded"):
+                ctor._mitm_fixed_point(list(range(1, 41)), Fraction(0))
+            assert not gather.called
+        else:
+            _, info = ctor._mitm_fixed_point(list(range(1, 41)), Fraction(0))
+            assert info == {
+                "mode": "fixed_point",
+                "scale_bits": 58,
+                "shortlist_pairs": 3328,
+                "fp_best_ulps": 2035317356,
+            }
+            assert gather.call_count == 2
 
 
 def test_kernel_memory_stays_near_two_halves():

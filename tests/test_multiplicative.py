@@ -149,7 +149,7 @@ def test_pipeline_best_effort_floor(sieve_small):
         assert rep.identity_ok
         # the flip budget is short by exactly L(lambda, N): the construction
         # lands on the unconstrained multiplicative floor
-        floor = abs(lam.log_mean_exact(rep.n_scale))
+        floor = abs(lam.log_mean_exact(rep.n))
         assert rep.achieved_exact == floor
         assert not rep.met
     assert mult.locality_check(fn, lam, state.modified_intervals, 16000)
@@ -210,7 +210,7 @@ def test_pipeline_split_sums_match_full_sums(sieve_small, rule, overrides):
     )
     l_c = mult.MultiplicativeFn(sieve_small, rule, overrides).log_mean_exact(c)
     for rep, prev in zip(state.scale_reports, [0] + scales):
-        n = rep.n_scale
+        n = rep.n
         # A scale starts from the seed and every override up to the last scale.
         below = {p: s for p, s in fn.overrides.items() if p <= prev}
         start = mult.MultiplicativeFn(sieve_small, rule, {**(overrides or {}), **below})
@@ -281,7 +281,7 @@ def test_pipeline_takes_the_top_sum_from_a_feasible_flip(sieve_small, monkeypatc
             assert rep.flip.feasible and rep.identity_ok
             assert x0s[2 * i] == (rep.e_value + flipped[i]) / state.delta
             assert "post-construction decomposition identity failed" not in rep.notes
-            assert rep.achieved_exact == abs(_full_sum(fn, range(1, rep.n_scale + 1)))
+            assert rep.achieved_exact == abs(_full_sum(fn, range(1, rep.n + 1)))
 
 
 def test_pipeline_sums_each_scale_about_once(sieve_small, monkeypatch):

@@ -1,6 +1,7 @@
 """Code that only its own unit test calls is deleted, not kept: every public
 function, method and class of the package must be reached by the package
-itself or by perfbench, or be named in a short allowlist with its reason."""
+itself or by perfbench, or be named in a short allowlist with its reason, and
+every private one must be reached from outside its own body."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,47 @@ def test_allowlist_is_short_and_current():
     assert len(ALLOWED) <= 10
     stale = sorted(name for name in ALLOWED if name not in unreached)
     assert not stale, f"allowed names that are gone or now reached: {stale}"
+
+
+def _private_defs(tree):
+    """(name, is_method, node) for private module-level defs and classes, and
+    for the private methods of classes; dunders are not private."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def private(node):
+        return isinstance(node, defs) and node.name.startswith("_") and not (
+            node.name.startswith("__") and node.name.endswith("__")
+        )
+
+    for node in tree.body:
+        if private(node):
+            yield node.name, False, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if private(item):
+                    yield item.name, True, item
+
+
+def test_every_private_def_is_reached_outside_its_body():
+    """A private def is reached by a name (a module-level def) or an
+    attribute read in the package or perfbench, outside the def itself: a
+    recursive call does not keep it, and a docstring that names it, being no
+    AST name, does not either."""
+    src = _trees(PACKAGE)
+    trees = src + _trees(PERFBENCH)
+    refs = [
+        (getattr(node, "id", None) or node.attr, isinstance(node, ast.Attribute), node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unreached = []
+    for tree in src:
+        for name, is_method, node in _private_defs(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(
+                ref == name and (is_attr or not is_method) and id(ref_node) not in inside
+                for ref, is_attr, ref_node in refs
+            ):
+                unreached.append(name)
+    assert not unreached, f"private defs nothing else reaches: {sorted(unreached)}"
