@@ -638,6 +638,58 @@ def _lone_prime(a: SupportSet, sieve: SieveTable) -> int | None:
     return None
 
 
+def _dense_scale(
+    a0: SupportSet,
+    prev: int,
+    running: Fraction,
+    n_scale: int,
+    delta: float,
+    seed: int,
+    sieve: SieveTable,
+    target_eta: Fraction,
+    max_free: int,
+) -> ConstructionReport:
+    """One scale N of the dense-set construction, after signs on A0 cap
+    [1, prev] that sum to `running`: greedy signs on A0 cap (prev, m), m =
+    floor(delta*N/2), then meet-in-the-middle on A0 cap [max(m, prev + 1), N],
+    each toward -running less the sum before it. The report covers both
+    parts and measures |running + their sum|. Callers ensure prev <= m and
+    |A0 cap [1, N]| >= delta*N, so at least delta*N/2 elements form the block.
+    """
+    t_start = time.perf_counter()
+    m = int(delta * n_scale / 2)
+    prefix_seq, prefix_sum = greedy_toward(a0.restrict(prev + 1, m - 1), -running)
+    block = a0.restrict(max(m, prev + 1), n_scale)
+    x0 = -(running + prefix_sum)
+    # A sum of exactly 0 is out of reach when a prime divides a single n,
+    # so more free elements cannot meet a zero target.
+    lone = _lone_prime(a0.restrict(1, n_scale), sieve) if target_eta == 0 else None
+    attempts: list[int] = []
+    free = min(max_free, MAX_FREE_LIMIT)
+    while True:
+        attempts.append(free)
+        rep = mitm_optimize(block, x0, max_free=free, seed=seed, target_eta=target_eta)
+        if rep.target_met or free >= MAX_FREE_LIMIT or lone is not None:
+            break
+        free = min(free + 2, MAX_FREE_LIMIT)
+    details = {
+        "prefix_sum": prefix_sum,
+        "prefix_bound": 2.0 / (delta * n_scale),
+        "prefix_size": len(prefix_seq),
+        "mitm": rep,
+        "max_free_attempts": attempts,
+        "theta_hat": achieved_exponent(rep.achieved_exact, n_scale),
+    }
+    if lone is not None:
+        details["zero_excluded_by_prime"] = lone
+    report = ConstructionReport._from_signs(
+        prefix_seq.merge(rep.signs), -running, target_eta, "Pipeline", seed, t_start, details
+    )
+    if report.achieved_exact != rep.achieved_exact:
+        raise RuntimeError("pipeline bookkeeping mismatch")
+    return report
+
+
 def dense_set_signs(
     a0: SupportSet,
     n_scale: int,
@@ -648,69 +700,38 @@ def dense_set_signs(
     target_eta: Fraction | None = None,
     max_free: int = 48,
 ) -> ConstructionReport:
-    """Full small-sum pipeline on a dense set restricted to [1, N].
-
-    Greedy prefix on A0 up to delta*N/2, then meet-in-the-middle on the rest
-    targeting the negated prefix value; the rough basis and eta budget that
-    frame the admissible window are computed and recorded.
+    """Full small-sum pipeline on a dense set restricted to [1, N]: one
+    _dense_scale from no signs, a greedy prefix on A0 up to delta*N/2 and then
+    meet-in-the-middle on the rest toward the negated prefix value. The rough
+    basis and eta budget that frame the admissible window are recorded too.
     """
     if n_scale < DENSE_N_MIN:
         raise ValueError(f"scale must be >= {DENSE_N_MIN}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
-    if n_scale <= 2.0 / -math.log1p(-delta / 2.0):
+    # multiplied, not divided: a tiny delta/2 underflows to 0
+    if n_scale * -math.log1p(-delta / 2.0) <= 2.0:
         raise ValueError("scale too small for this density parameter")
     t_start = time.perf_counter()
     a0n = a0.restrict(1, n_scale)
     if len(a0n) < delta * n_scale:
         raise InfeasibleError(f"|A0 cap [N]| = {len(a0n)} < delta*N = {delta * n_scale}")
     m = int(delta * n_scale / 2)
-    prefix_sup = a0n.restrict(1, m - 1)
-    if not len(prefix_sup):
+    if a0n.min() >= m:
         raise InfeasibleError("prefix range is empty at this scale")
-    prefix_seq, prefix_sum = greedy_bounded(prefix_sup)
-    main_sup = a0n.restrict(m, n_scale)
-    if not len(main_sup):
-        raise InfeasibleError("main range is empty at this scale")
-    basis = rough_basis_subset(main_sup, n_scale, eps0, sieve)
-    budget = density_mod.eta_budget(
+    basis = rough_basis_subset(a0n.restrict(m, n_scale), n_scale, eps0, sieve)
+    if target_eta is None:
+        target_eta = _default_dense_target(n_scale)
+    report = _dense_scale(a0n, 0, Fraction(0), n_scale, delta, seed, sieve, target_eta, max_free)
+    report.details["rough_basis"] = basis
+    report.details["eta_budget"] = density_mod.eta_budget(
         n_scale,
         max(len(basis.b), 1),
         basis.k,
-        x0=abs(float(prefix_sum)),
+        x0=abs(float(report.details["prefix_sum"])),
         c=delta / 2.0,
     )
-    if target_eta is None:
-        target_eta = _default_dense_target(n_scale)
-    x0 = -prefix_sum
-    # A sum of exactly 0 is out of reach when a prime divides a single n,
-    # so more free elements cannot meet a zero target.
-    lone = _lone_prime(a0n, sieve) if target_eta == 0 else None
-    attempts: list[int] = []
-    free = min(max_free, MAX_FREE_LIMIT)
-    while True:
-        attempts.append(free)
-        rep = mitm_optimize(main_sup, x0, max_free=free, seed=seed, target_eta=target_eta)
-        if rep.target_met or free >= MAX_FREE_LIMIT or lone is not None:
-            break
-        free = min(free + 2, MAX_FREE_LIMIT)
-    details = {
-        "prefix_sum": prefix_sum,
-        "prefix_bound": 2.0 / (delta * n_scale),
-        "prefix_size": len(prefix_sup),
-        "rough_basis": basis,
-        "eta_budget": budget,
-        "mitm": rep,
-        "max_free_attempts": attempts,
-        "theta_hat": achieved_exponent(rep.achieved_exact, n_scale),
-    }
-    if lone is not None:
-        details["zero_excluded_by_prime"] = lone
-    report = ConstructionReport._from_signs(
-        prefix_seq.merge(rep.signs), Fraction(0), target_eta, "Pipeline", seed, t_start, details
-    )
-    if report.achieved_exact != rep.achieved_exact:
-        raise RuntimeError("pipeline bookkeeping mismatch")
+    report.wall_time = time.perf_counter() - t_start
     return report
 
 
@@ -736,9 +757,9 @@ def upper_density_scales(
     """Qualifying-scale chain for sets of positive upper density.
 
     Scans forward for scales P_i >= ceil((2/delta0) P_{i-1}) at which the
-    density holds, then extends the sign assignment (never reassigning an
-    emitted sign) so the partial sum over A0 cap [P_i] is small. A0 must be
-    materialized up to the largest scale scanned.
+    density holds, then extends the sign assignment by one _dense_scale (never
+    reassigning an emitted sign) so the partial sum over A0 cap [P_i] is
+    small. A0 must be materialized up to the largest scale scanned.
     """
     if not 0 < delta0 < 1:
         raise ValueError("delta0 must be in (0, 1)")
@@ -747,10 +768,9 @@ def upper_density_scales(
     limit = a0.max()
     scales: list[int] = []
     reports: list[ConstructionReport] = []
-    assigned: SignSequence | None = None
+    assigned = SignSequence(SupportSet([]), [])
     running = Fraction(0)
     prev = 0
-    exhausted = False
     note = ""
     for _ in range(max_scales):
         scan = DENSE_N_MIN if prev == 0 else math.ceil(2 * prev / delta0)
@@ -761,31 +781,13 @@ def upper_density_scales(
                 break
             scan += 1
         if p_i is None:
-            exhausted = True
             note = f"no qualifying scale beyond {prev} within the materialized range"
             break
-        m = int(delta0 * p_i / 2)
-        ext_sup = a0.restrict(prev + 1, max(m - 1, prev))
-        if len(ext_sup):
-            ext_seq, ext_sum = greedy_toward(ext_sup, -running)
-            assigned = ext_seq if assigned is None else assigned.merge(ext_seq)
-            running += ext_sum
-        block = a0.restrict(max(m, prev + 1), p_i)
-        if not len(block):
-            exhausted = True
-            note = f"scale {p_i} has an empty refinement block"
-            break
-        rep = mitm_optimize(
-            block,
-            -running,
-            max_free=max_free,
-            seed=seed,
-            target_eta=_default_dense_target(p_i),
+        rep = _dense_scale(
+            a0, prev, running, p_i, delta0, seed, sieve, _default_dense_target(p_i), max_free
         )
-        assigned = rep.signs if assigned is None else assigned.merge(rep.signs)
+        assigned = assigned.merge(rep.signs)
         running += exact_rational_sum(rep.signs)
-        if abs(running) != rep.achieved_exact:
-            raise RuntimeError(f"running sum disagrees with the refinement at scale {p_i}")
         coarse = Fraction(2) / Fraction(delta0 * p_i)
         rep.details["scale"] = p_i
         rep.details["coarse_bound_met"] = bool(abs(running) <= coarse)
@@ -795,7 +797,7 @@ def upper_density_scales(
     return ScaleChainResult(
         scales=scales,
         reports=reports,
-        signs=assigned if assigned is not None else SignSequence(SupportSet([]), []),
-        exhausted=exhausted,
+        signs=assigned,
+        exhausted=len(scales) < max_scales,
         note=note,
     )

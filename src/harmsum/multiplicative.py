@@ -244,6 +244,8 @@ def log_mean_pipeline(
             raise ValueError("each scale must be >= 8x and > (C+1)x the previous one")
     if scales[-1] > sieve.limit:
         raise ValueError("sieve limit below the top scale")
+    if not 0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
     fn = MultiplicativeFn(sieve, seed_rule, seed_overrides)
     seed_fn = fn
     l_c = seed_fn.log_mean_exact(c_cross)

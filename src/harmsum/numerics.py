@@ -125,19 +125,6 @@ class BigFixed:
         p = max(self.scale_bits, other.scale_bits)
         return self.rescale(p), other.rescale(p)
 
-    def __add__(self, other: "BigFixed") -> "BigFixed":
-        a, b = self._aligned(other)
-        return BigFixed(a.mantissa + b.mantissa, a.scale_bits, a.err_ulps + b.err_ulps)
-
-    def __sub__(self, other: "BigFixed") -> "BigFixed":
-        return self + (-other)
-
-    def __neg__(self) -> "BigFixed":
-        return BigFixed(-self.mantissa, self.scale_bits, self.err_ulps)
-
-    def __abs__(self) -> "BigFixed":
-        return BigFixed(abs(self.mantissa), self.scale_bits, self.err_ulps)
-
     def to_decimal_string(self, sig: int = 15) -> str:
         val = _sci(self.value_fraction(), sig)
         if self.err_ulps == 0:

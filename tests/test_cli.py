@@ -185,6 +185,10 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
          "set spec 'mod 3: 1,y': expected an integer, got 'y'"),
         (["construct", "--set", "@{path}"], "3\nfoo\n5\n", 2,
          "set file {path}: expected one integer per line, got 'foo'"),
+        (["pipeline", "--scales", "60", "--allow-nonpositive-delta", "--c0=-1000"], None, 2,
+         "c0 must be positive and finite, got -1000.0"),
+        (["pipeline", "--scales", "60", "--allow-nonpositive-delta", "--c0", "nan"], None, 2,
+         "c0 must be positive and finite, got nan"),
     ],
     ids=["config-list", "construct-no-set", "density-b-outside-a", "oracle-over-cap",
          "report-list", "config-list-in-report", "no-signs", "run-sign-not-int",
@@ -194,7 +198,7 @@ _SIGNS = {"support_ranges": [[1, 2]], "signs_rle": [[1, 2]]}
          "scales-empty", "psi-not-integers", "override-not-integers", "scales-not-integers",
          "rho-not-a-number", "rho-zero-step", "rho-negative-step", "rho-negative-u",
          "rho-inf", "rho-nan", "rho-inf-step", "set-mod-not-integer", "set-interval-not-integer",
-         "set-residue-not-integer", "set-file-not-integer"],
+         "set-residue-not-integer", "set-file-not-integer", "c0-negative", "c0-nan"],
 )
 def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, message):
     """payload is written to {path}: a str as it is, anything else as JSON."""
@@ -210,6 +214,20 @@ def test_cli_error_paths_in_process(tmp_path, capsys, argv, payload, code, messa
     else:
         assert "Traceback" not in capsys.readouterr().err
         assert set(json.loads(out.read_text())["report"]) == {"infeasible"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1e308", "5e-324"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--interval", "1..256", "--method", "pipeline", "--eta", "1/10",
+     "--max-free", "16", "--delta={value}"],
+    ["construct", "--interval", "1..256", "--method", "pipeline", "--eta", "1/10",
+     "--max-free", "16", "--eps0={value}"],
+    ["pipeline", "--scales", "60", "--allow-nonpositive-delta", "--c0={value}"],
+], ids=["delta", "eps0", "c0"])
+def test_float_flags_exit_with_a_code(tmp_path, argv, value):
+    out = tmp_path / "out.json"
+    code = cli.run([a.format(value=value) for a in argv] + ["--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_USAGE)
 
 
 @pytest.mark.parametrize("argv", [

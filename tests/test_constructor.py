@@ -349,18 +349,45 @@ def test_dense_set_signs_small(sieve_small):
     assert rep.signs.support == SupportSet.interval(1, 512)
 
 
-def test_dense_set_signs_bookkeeping_check_raises(sieve_small, monkeypatch):
-    greedy = ctor.greedy_bounded
+@pytest.fixture
+def misreporting_greedy(monkeypatch):
+    """greedy_toward whose first call, the first scale's prefix, returns a
+    sum 1/7 off the sum of its signs; later calls, those inside the MITM
+    among them, stay honest."""
+    greedy, calls = ctor.greedy_toward, []
 
-    def misreported(a):
-        seq, total = greedy(a)
-        return seq, total + Fraction(1, 7)
+    def misreported(a, target):
+        seq, total = greedy(a, target)
+        calls.append(a)
+        return seq, total + (Fraction(1, 7) if len(calls) == 1 else 0)
 
-    monkeypatch.setattr(ctor, "greedy_bounded", misreported)
+    monkeypatch.setattr(ctor, "greedy_toward", misreported)
+
+
+def test_dense_set_signs_bookkeeping_check_raises(sieve_small, misreporting_greedy):
     with pytest.raises(RuntimeError, match="pipeline bookkeeping mismatch"):
         ctor.dense_set_signs(
             SupportSet.interval(1, 256), 256, 1.0, 0.2, seed=2, sieve=sieve_small, max_free=24
         )
+
+
+def test_scale_chain_bookkeeping_check_raises(sieve_small, misreporting_greedy):
+    with pytest.raises(RuntimeError, match="pipeline bookkeeping mismatch"):
+        ctor.upper_density_scales(
+            SupportSet.interval(1, 1024), 0.5, 2, seed=2, sieve=sieve_small, max_free=24
+        )
+
+
+def test_one_scale_chain_matches_dense_set_signs(sieve_small):
+    # both run _dense_scale from no signs, at the chain's first scale P_1
+    a0 = SupportSet.residues(3, [1, 2], 2000)
+    chain = ctor.upper_density_scales(a0, 0.6, 1, seed=3, sieve=sieve_small, max_free=34)
+    p1 = chain.scales[0]
+    rep = ctor.dense_set_signs(
+        a0.restrict(1, p1), p1, 0.6, 0.2, seed=3, sieve=sieve_small, max_free=34
+    )
+    assert chain.signs == rep.signs
+    assert chain.reports[0].achieved_exact == rep.achieved_exact
 
 
 def test_dense_set_signs_density_error(sieve_small):

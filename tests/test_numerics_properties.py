@@ -68,9 +68,6 @@ def enclosures(draw):
 def test_bigfixed_containment(a, b):
     (x, xv), (y, yv) = a, b
     assert x.contains(xv) and y.contains(yv)
-    assert (x + y).contains(xv + yv)
-    assert (-x).contains(-xv)
-    assert (x - y).contains(xv - yv)
 
 
 def _random_runs(n: int, rng) -> list[int]:
